@@ -837,6 +837,32 @@ let idle_timeout_arg =
            for $(docv) seconds (granularity: one loop tick, up to 0.5s). Off by default: idle \
            connections are free to linger.")
 
+(* --socket / --listen listeners, or the one stdio connection when
+   neither is given; bind errors exit 1 before [k] runs *)
+let with_listeners socket listen k =
+  match
+    match (socket, listen) with
+    | None, None -> [ Server.Loop.stdio_listener ~input:Unix.stdin ~output:Unix.stdout ]
+    | _ ->
+      let unix_l = Option.map (fun path -> Server.Loop.unix_listener ~path) socket in
+      let tcp_l =
+        Option.map
+          (fun (host, port) ->
+            let l = Server.Loop.tcp_listener ~host ~port in
+            Printf.eprintf "listening on %s:%d\n%!" host (Server.Loop.bound_port l);
+            l)
+          listen
+      in
+      List.filter_map Fun.id [ unix_l; tcp_l ]
+  with
+  | exception Failure msg ->
+    Printf.eprintf "error: %s\n" msg;
+    1
+  | exception Unix.Unix_error (e, fn, arg) ->
+    Printf.eprintf "error: %s(%s): %s\n" fn arg (Unix.error_message e);
+    1
+  | listeners -> k listeners
+
 let serve_cmd =
   let run socket listen cache_size shards max_pending max_inflight timeout idle_timeout jobs
       metrics =
@@ -854,39 +880,14 @@ let serve_cmd =
     | Error msg ->
       Printf.eprintf "error: %s\n" msg;
       2
-    | Ok listen -> (
+    | Ok listen ->
       with_metrics metrics @@ fun () ->
       Server.Engine.with_engine ~cache_size ~shards ~jobs @@ fun engine ->
       Server.Engine.install_stop_signals engine;
-      match (socket, listen) with
-      | None, None ->
-        Server.Engine.serve engine ?timeout ~input:Unix.stdin ~output:Unix.stdout ();
-        0
-      | _ -> (
-        let limits =
-          { Server.Loop.default_limits with Server.Loop.max_pending; max_inflight }
-        in
-        match
-          let unix_l = Option.map (fun path -> Server.Loop.unix_listener ~path) socket in
-          let tcp_l =
-            Option.map
-              (fun (host, port) ->
-                let l = Server.Loop.tcp_listener ~host ~port in
-                Printf.eprintf "listening on %s:%d\n%!" host (Server.Loop.bound_port l);
-                l)
-              listen
-          in
-          List.filter_map Fun.id [ unix_l; tcp_l ]
-        with
-        | exception Failure msg ->
-          Printf.eprintf "error: %s\n" msg;
-          1
-        | exception Unix.Unix_error (e, fn, arg) ->
-          Printf.eprintf "error: %s(%s): %s\n" fn arg (Unix.error_message e);
-          1
-        | listeners ->
-          Server.Loop.serve engine ?timeout ?idle_timeout ~limits listeners;
-          0))
+      with_listeners socket listen @@ fun listeners ->
+      let limits = { Server.Loop.default_limits with Server.Loop.max_pending; max_inflight } in
+      Server.Loop.serve engine ?timeout ?idle_timeout ~limits listeners;
+      0
   in
   let socket_arg =
     Arg.(
@@ -948,10 +949,11 @@ let serve_cmd =
             "Reads one JSON request per line — \
              {\"analyzer\":\"GN2\",\"fpga_area\":10,\"tasks\":[{\"C\":\"1.26\",\"D\":\"7\",\"T\":\"7\",\"A\":9},...]} \
              — and writes one JSON verdict line per request, in request order, over stdin/stdout, \
-             a Unix-domain socket ($(b,--socket)) and/or TCP ($(b,--listen)). Socket and TCP \
-             serving multiplex any number of concurrent client connections over one event loop, \
-             fanning request evaluation out over $(b,-j) worker domains; per connection, \
-             responses are byte-identical to serial stdio serving. Verdicts are cached under a \
+             a Unix-domain socket ($(b,--socket)) and/or TCP ($(b,--listen)). One event loop \
+             multiplexes any number of concurrent client connections (stdin/stdout is one more, \
+             and a stdio run ends at input EOF), fanning request evaluation out over $(b,-j) \
+             worker domains; per connection, responses are byte-identical to $(b,redf batch). \
+             Verdicts are cached under a \
              canonical taskset key (task order and names do not matter) in a sharded LRU, so \
              repeated queries are answered from cache with byte-identical output. A malformed \
              request yields an error response and never terminates the service; SIGINT/SIGTERM \
@@ -1062,7 +1064,7 @@ let batch_cmd =
             | None ->
               if retries > 0 then
                 Server.Engine.client_roundtrip_retry ~addr ~retries ~backoff_ms lines
-              else Server.Engine.client_roundtrip ~path lines)
+              else Server.Engine.client_roundtrip_addr ~addr lines)
           | None ->
             Server.Engine.with_engine ~cache_size ~jobs @@ fun engine ->
             Ok (Server.Engine.handle_lines engine lines)
@@ -1229,11 +1231,21 @@ let admit_cmd =
         Sys.set_signal Sys.sigint (Sys.Signal_handle on_stop);
         Sys.set_signal Sys.sigterm (Sys.Signal_handle on_stop);
         Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-        let finish () =
+        with_listeners socket listen @@ fun listeners ->
+        let service =
+          {
+            Server.Loop.handle_lines =
+              (fun lines -> Array.of_list (Admit.Daemon.handle_lines daemon (Array.to_list lines)));
+            stop_requested = (fun () -> Atomic.get stop);
+            shed_response = Server.Protocol.shed_response;
+            is_mutation = Admit.Daemon.is_mutation;
+          }
+        in
+        match Server.Loop.serve_service service ?timeout ?idle_timeout listeners with
+        | () ->
           Admit.Daemon.close daemon;
           0
-        in
-        let crashed (fate, msg) =
+        | exception Admit.Faults.Crash (fate, msg) ->
           (* injected kill -9: leave the journal exactly as-is and die
              loudly; recovery on the next start is the point *)
           Admit.Daemon.close daemon;
@@ -1243,59 +1255,7 @@ let admit_cmd =
             | Admit.Faults.Lost -> "lost"
             | Admit.Faults.After_append -> "after-append")
             msg;
-          7
-        in
-        match (socket, listen) with
-        | None, None -> (
-          (* stdio: serial request/response, one line at a time *)
-          let rec loop () =
-            if Atomic.get stop then ()
-            else
-              match input_line stdin with
-              | exception End_of_file -> ()
-              | line ->
-                if String.trim line <> "" then begin
-                  print_endline (Admit.Daemon.handle_line daemon line);
-                  flush stdout
-                end;
-                loop ()
-          in
-          match loop () with
-          | () -> finish ()
-          | exception Admit.Faults.Crash (fate, msg) -> crashed (fate, msg))
-        | _ -> (
-          match
-            let unix_l = Option.map (fun path -> Server.Loop.unix_listener ~path) socket in
-            let tcp_l =
-              Option.map
-                (fun (host, port) ->
-                  let l = Server.Loop.tcp_listener ~host ~port in
-                  Printf.eprintf "listening on %s:%d\n%!" host (Server.Loop.bound_port l);
-                  l)
-                listen
-            in
-            List.filter_map Fun.id [ unix_l; tcp_l ]
-          with
-          | exception Failure msg ->
-            Printf.eprintf "error: %s\n" msg;
-            1
-          | exception Unix.Unix_error (e, fn, arg) ->
-            Printf.eprintf "error: %s(%s): %s\n" fn arg (Unix.error_message e);
-            1
-          | listeners -> (
-            let service =
-              {
-                Server.Loop.handle_lines =
-                  (fun lines ->
-                    Array.of_list (Admit.Daemon.handle_lines daemon (Array.to_list lines)));
-                stop_requested = (fun () -> Atomic.get stop);
-                shed_response = Server.Protocol.shed_response;
-                is_mutation = Admit.Daemon.is_mutation;
-              }
-            in
-            match Server.Loop.serve_service service ?timeout ?idle_timeout listeners with
-            | () -> finish ()
-            | exception Admit.Faults.Crash (fate, msg) -> crashed (fate, msg)))))
+          7))
   in
   let dir_arg =
     Arg.(

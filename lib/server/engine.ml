@@ -35,32 +35,15 @@ let install_stop_signals t =
   Sys.set_signal Sys.sigterm handle;
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore
 
-let handle_line t line =
-  Obs.Counter.incr m_requests;
-  match Protocol.parse line with
-  | Error (id, msg) ->
-    Obs.Counter.incr m_errors;
-    Protocol.error_response ?id msg
-  | Ok req -> (
-    match
-      Obs.Timer.time request_timer (fun () ->
-          Cache.Verdicts.decide t.cache ~analyzer:req.analyzer ~fpga_area:req.fpga_area
-            req.Protocol.taskset)
-    with
-    | verdict -> Protocol.response req verdict
-    | exception e ->
-      Obs.Counter.incr m_errors;
-      Protocol.error_response ?id:req.Protocol.id ("internal error: " ^ Printexc.to_string e))
-
 (* Batches fan out over the analyzers' batch paths: parse in parallel,
    group the well-formed requests by (analyzer name, version, device
    area), split each group into per-worker chunks, and push every chunk
    through Cache.Verdicts.decide_all — so duplicate tasksets inside a
    chunk are decided once and per-taskset setup is amortized.  Response
-   bytes and det counter totals are exactly the per-line path's: parse
-   errors answer in place, and a chunk whose batch decision raises is
-   replayed request-by-request so the failing request alone gets the
-   "internal error" response. *)
+   bytes are independent of how lines are batched: parse errors answer
+   in place, and a chunk whose batch decision raises is replayed
+   request-by-request so the failing request alone gets the "internal
+   error" response. *)
 let handle_lines t lines =
   Obs.Counter.incr m_batches;
   let parsed =
@@ -156,84 +139,19 @@ let plan items =
         Emit (Protocol.error_response timeout_message))
     items
 
-let render_steps t buf steps =
-  let evals = List.filter_map (function Eval line -> Some line | Emit _ -> None) steps in
-  let responses =
-    match Array.of_list evals with [||] -> [||] | batch -> handle_lines t batch
-  in
-  let idx = ref 0 in
-  List.iter
-    (fun s ->
-      let response =
-        match s with
-        | Eval _ ->
-          let r = responses.(!idx) in
-          incr idx;
-          r
-        | Emit r -> r
-      in
-      Buffer.add_string buf response;
-      Buffer.add_char buf '\n')
-    steps
-
-(* --- fd plumbing --- *)
-
-let rec write_all fd s off =
-  if off < String.length s then begin
-    match Unix.write_substring fd s off (String.length s - off) with
-    | n -> write_all fd s (off + n)
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> write_all fd s off
-  end
-
-let not_blank line = String.trim line <> ""
-
-let serve t ?timeout ~input ~output () =
-  let chunk = Bytes.create 65536 in
-  let framing = Framing.create ?timeout () in
-  let respond items =
-    match plan items with
-    | [] -> ()
-    | steps ->
-      let buf = Buffer.create 1024 in
-      render_steps t buf steps;
-      write_all output (Buffer.contents buf) 0
-  in
-  let rec loop () =
-    if stop_requested t then ()
-    else begin
-      let tick =
-        match Framing.deadline framing with
-        | None -> 0.5
-        | Some d -> Float.max 0.0 (Float.min 0.5 (d -. Unix.gettimeofday ()))
-      in
-      match Unix.select [ input ] [] [] tick with
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ()
-      | [], _, _ ->
-        respond (Framing.check_deadline framing ~now:(Unix.gettimeofday ()));
-        loop ()
-      | _ -> (
-        match Unix.read input chunk 0 (Bytes.length chunk) with
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ()
-        | 0 ->
-          (* EOF: an unterminated final line is the stream's last request *)
-          respond (Framing.finish framing)
-        | n ->
-          respond (Framing.feed framing ~now:(Unix.gettimeofday ()) (Bytes.sub_string chunk 0 n));
-          respond (Framing.check_deadline framing ~now:(Unix.gettimeofday ()));
-          loop ())
-    end
-  in
-  loop ()
-(* graceful drain needs no extra work here: complete lines were
-   answered as they arrived, and a pending partial is dropped *)
-
-(* --- client (redf batch --connect / bench-serve) --- *)
+(* --- client (redf batch --connect) --- *)
 
 let string_of_addr = function
   | Unix.ADDR_UNIX path -> path
   | Unix.ADDR_INET (host, port) -> Printf.sprintf "%s:%d" (Unix.string_of_inet_addr host) port
 
-let client_roundtrip_addr ~addr lines =
+(* The one client pump: connect, then pipeline [lines] while reading
+   responses, interleaved over a non-blocking socket so no batch size
+   can deadlock against the server's per-connection backpressure.  Only
+   the end of the send side differs: [hold = None] half-closes it and
+   reads to EOF; [Some s] leaves it open and idle until the server
+   closes the connection or [s] seconds pass. *)
+let pump ~addr ?hold lines =
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let sock = Unix.socket (Unix.domain_of_sockaddr addr) Unix.SOCK_STREAM 0 in
   (match addr with
@@ -249,58 +167,59 @@ let client_roundtrip_addr ~addr lines =
     Fun.protect
       ~finally:(fun () -> try Unix.close sock with Unix.Unix_error _ -> ())
       (fun () ->
-        let payload =
-          String.concat "" (Array.to_list (Array.map (fun l -> l ^ "\n") lines))
-        in
+        Unix.set_nonblock sock;
+        let payload = String.concat "" (Array.to_list (Array.map (fun l -> l ^ "\n") lines)) in
         let sent = ref 0 in
-        let all_sent () = !sent >= String.length payload in
+        let sending () = !sent < String.length payload in
+        let hold_until = ref Float.infinity in
+        let end_send () =
+          sent := String.length payload;
+          match hold with
+          | None -> ( try Unix.shutdown sock Unix.SHUTDOWN_SEND with Unix.Unix_error _ -> ())
+          | Some s -> hold_until := Unix.gettimeofday () +. s
+        in
+        if not (sending ()) then end_send ();
         let received = Buffer.create 4096 in
         let chunk = Bytes.create 65536 in
-        let rec pump eof =
-          if not eof || not (all_sent ()) then begin
-            let want_write = if all_sent () then [] else [ sock ] in
-            match Unix.select [ sock ] want_write [] (-1.0) with
-            | exception Unix.Unix_error (Unix.EINTR, _, _) -> pump eof
-            | readable, writable, _ ->
-              let eof =
-                if readable <> [] then (
-                  match Unix.read sock chunk 0 (Bytes.length chunk) with
-                  | 0 -> true
-                  | n ->
-                    Buffer.add_subbytes received chunk 0 n;
-                    eof
-                  | exception Unix.Unix_error (Unix.EINTR, _, _) -> eof)
-                else eof
-              in
-              if writable <> [] && not (all_sent ()) then begin
-                (match
-                   Unix.write_substring sock payload !sent (String.length payload - !sent)
-                 with
-                 | n -> sent := !sent + n
-                 | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
-                if all_sent () then Unix.shutdown sock Unix.SHUTDOWN_SEND
+        let rec go () =
+          let left = !hold_until -. Unix.gettimeofday () in
+          if left <= 0.0 then `Hold_expired
+          else
+            let wait = if Float.is_finite left then left else -1.0 in
+            match Unix.select [ sock ] (if sending () then [ sock ] else []) [] wait with
+            | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
+            | readable, writable, _ -> (
+              if writable <> [] then begin
+                match
+                  Unix.single_write_substring sock payload !sent (String.length payload - !sent)
+                with
+                | n ->
+                  sent := !sent + n;
+                  if not (sending ()) then end_send ()
+                | exception
+                    Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> ()
+                (* the server went away: stop sending, keep what it answered *)
+                | exception Unix.Unix_error _ -> end_send ()
               end;
-              pump eof
-          end
+              if readable = [] then go ()
+              else
+                match Unix.read sock chunk 0 (Bytes.length chunk) with
+                | 0 -> `Closed_by_server
+                | n ->
+                  Buffer.add_subbytes received chunk 0 n;
+                  go ()
+                | exception
+                    Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> go ()
+                | exception Unix.Unix_error _ -> `Closed_by_server)
         in
-        (match pump false with
-         | () -> ()
-         | exception Unix.Unix_error (Unix.EPIPE, _, _) -> ());
-        let rec read_rest () =
-          match Unix.read sock chunk 0 (Bytes.length chunk) with
-          | 0 -> ()
-          | n ->
-            Buffer.add_subbytes received chunk 0 n;
-            read_rest ()
-          | exception Unix.Unix_error (Unix.EINTR, _, _) -> read_rest ()
-        in
-        (try read_rest () with Unix.Unix_error _ -> ());
+        let ending = go () in
         let responses =
-          String.split_on_char '\n' (Buffer.contents received) |> List.filter not_blank
+          String.split_on_char '\n' (Buffer.contents received)
+          |> List.filter (fun l -> String.trim l <> "")
         in
-        Ok (Array.of_list responses))
+        Ok (Array.of_list responses, ending))
 
-let client_roundtrip ~path lines = client_roundtrip_addr ~addr:(Unix.ADDR_UNIX path) lines
+let client_roundtrip_addr ~addr lines = Result.map fst (pump ~addr lines)
 
 (* --- resilient client --- *)
 
@@ -344,49 +263,4 @@ let client_roundtrip_retry ~addr ?(retries = 0) ?(backoff_ms = 50) ?(seed = 1) l
   in
   attempt 0
 
-(* Send everything, read the expected responses, then *hold* the
-   connection open (no shutdown, no traffic) until the server closes
-   it or [hold] seconds pass — the probe for [--idle-timeout]. *)
-let client_hold ~addr ~hold lines =
-  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-  let sock = Unix.socket (Unix.domain_of_sockaddr addr) Unix.SOCK_STREAM 0 in
-  match Unix.connect sock addr with
-  | exception Unix.Unix_error (e, _, _) ->
-    (try Unix.close sock with Unix.Unix_error _ -> ());
-    Error (Printf.sprintf "%s: %s" (string_of_addr addr) (Unix.error_message e))
-  | () ->
-    Fun.protect
-      ~finally:(fun () -> try Unix.close sock with Unix.Unix_error _ -> ())
-      (fun () ->
-        let payload = String.concat "" (Array.to_list (Array.map (fun l -> l ^ "\n") lines)) in
-        let rec send off =
-          if off < String.length payload then
-            match Unix.write_substring sock payload off (String.length payload - off) with
-            | n -> send (off + n)
-            | exception Unix.Unix_error (Unix.EINTR, _, _) -> send off
-        in
-        send 0;
-        let deadline = Unix.gettimeofday () +. hold in
-        let received = Buffer.create 4096 in
-        let chunk = Bytes.create 65536 in
-        let rec wait () =
-          let left = deadline -. Unix.gettimeofday () in
-          if left <= 0.0 then `Hold_expired
-          else
-            match Unix.select [ sock ] [] [] left with
-            | exception Unix.Unix_error (Unix.EINTR, _, _) -> wait ()
-            | [], _, _ -> `Hold_expired
-            | _ -> (
-              match Unix.read sock chunk 0 (Bytes.length chunk) with
-              | exception Unix.Unix_error (Unix.EINTR, _, _) -> wait ()
-              | exception Unix.Unix_error _ -> `Closed_by_server
-              | 0 -> `Closed_by_server
-              | n ->
-                Buffer.add_subbytes received chunk 0 n;
-                wait ())
-        in
-        let ending = wait () in
-        let responses =
-          String.split_on_char '\n' (Buffer.contents received) |> List.filter not_blank
-        in
-        Ok (Array.of_list responses, ending))
+let client_hold ~addr ~hold lines = pump ~addr ~hold lines

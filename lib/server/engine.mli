@@ -2,26 +2,26 @@
 
     One engine owns the process-wide verdict cache ({!Cache.Verdicts},
     sharded — see [shards] below) and a {!Parallel.Pool} of worker
-    domains; every front end — the stdin/stdout loop, the multi-client
-    event loop ({!Loop}), an in-process batch — funnels through
-    {!handle_line}, so they all share the cache and return identical
-    bytes for identical requests.
+    domains; every front end — the event loop ({!Loop}, over stdio,
+    Unix-domain and TCP connections) and an in-process batch — funnels
+    through {!handle_lines}, so they all share the cache and return
+    identical bytes for identical requests.
 
     Contracts:
-    - {e isolation}: {!handle_line} never raises — a malformed or
+    - {e isolation}: {!handle_lines} never raises — a malformed or
       crashing request yields an error-response line, the process (and
       the other requests of the batch) continue;
-    - {e determinism}: responses are written in request order and their
-      bytes are independent of the worker count, the shard count and
-      cache state (cached answers are remapped to the request's task
-      order, see {!Cache.Verdicts});
+    - {e determinism}: responses are in request order and their bytes
+      are independent of the batching, the worker count, the shard
+      count and cache state (cached answers are remapped to the
+      request's task order, see {!Cache.Verdicts});
     - {e framing}: request framing — the line-byte cap, the
       partial-line timeout, and the rule that framing errors never
       swallow the well-formed requests around them — is {!Framing}'s;
-      both serve loops consume its items through {!plan};
+      the loop consumes its items through {!plan};
     - {e graceful drain}: after {!request_stop} (or SIGINT/SIGTERM once
-      {!install_stop_signals} ran) the serve loops finish answering
-      every complete request line already received, then return, so a
+      {!install_stop_signals} ran) the loop finishes answering every
+      complete request line already received, then returns, so a
       supervisor's TERM never loses an in-flight answer. *)
 
 type t
@@ -49,12 +49,10 @@ val install_stop_signals : t -> unit
 (** Route SIGINT and SIGTERM to {!request_stop} and ignore SIGPIPE (a
     vanished client must not kill the server). *)
 
-val handle_line : t -> string -> string
-(** One request line to one response line (no newline).  Never raises. *)
-
 val handle_lines : t -> string array -> string array
-(** Fan a batch out over the pool; responses in request order,
-    byte-identical to mapping {!handle_line}.  Internally the batch is
+(** Fan a batch out over the pool; one response line (no newline) per
+    request line, in request order, and each byte-identical to what a
+    batch of that line alone returns.  Internally the batch is
     parsed in parallel, grouped by (analyzer, version, device area) and
     decided through {!Cache.Verdicts.decide_all}, so duplicate tasksets
     in a batch cost one decision and the columnar analyzers amortize
@@ -62,15 +60,15 @@ val handle_lines : t -> string array -> string array
 
 (** {2 Framing items to responses}
 
-    Both serve loops share this mapping, so a dropped request is
-    answered with byte-identical error lines whether it arrived over
-    stdio, a Unix socket or TCP. *)
+    The loop maps every connection's items through this, so a dropped
+    request is answered with byte-identical error lines whether it
+    arrived over stdio, a Unix socket or TCP. *)
 
 val too_large_message : string
 val timeout_message : string
 
 type step =
-  | Eval of string  (** a request line, to be answered by {!handle_line} *)
+  | Eval of string  (** a request line, to be answered by {!handle_lines} *)
   | Emit of string  (** a pre-formed response line (framing error, shed) *)
 
 val plan : Framing.item list -> step list
@@ -80,29 +78,15 @@ val plan : Framing.item list -> step list
     dropped line sits exactly where that line sat in the request
     stream. *)
 
-val serve : t -> ?timeout:float -> input:Unix.file_descr -> output:Unix.file_descr -> unit -> unit
-(** Serve line-oriented requests until EOF or {!request_stop}.  Lines
-    are batched by arrival (whatever is buffered is evaluated as one
-    pool batch), blank lines are ignored, and a line longer than 16 MiB
-    — whether terminated or a still-growing partial — is answered with
-    an error and discarded, without losing the complete lines received
-    alongside it.  [timeout] (seconds) bounds the wait for the rest of
-    a {e partially} received request line, measured from when the
-    partial {e started} (trickling more bytes does not extend it); on
-    expiry the partial input is dropped and an error response is
-    emitted.  An idle connection with no partial request never times
-    out. *)
-
 val client_roundtrip_addr :
   addr:Unix.sockaddr -> string array -> (string array, string) result
 (** Connect to a server at [addr] (Unix-domain or TCP; TCP connections
-    set [TCP_NODELAY]), pipeline all request lines, and collect the
-    response lines (request order).  Interleaves writing and reading,
-    so arbitrarily large batches cannot deadlock on socket buffers. *)
-
-val client_roundtrip : path:string -> string array -> (string array, string) result
-(** {!client_roundtrip_addr} over [ADDR_UNIX path] — the client side
-    used by [redf batch --connect]. *)
+    set [TCP_NODELAY]), pipeline all request lines, half-close the send
+    side, and collect the response lines (request order) until the
+    server closes.  Writing and reading interleave over a non-blocking
+    socket, so arbitrarily large batches cannot deadlock on socket
+    buffers or on the server's backpressure.  A connection cut short
+    returns the responses that did arrive. *)
 
 val client_roundtrip_retry :
   addr:Unix.sockaddr ->
@@ -125,6 +109,7 @@ val client_hold :
   hold:float ->
   string array ->
   (string array * [ `Closed_by_server | `Hold_expired ], string) result
-(** Pipeline [lines], then keep the connection open and idle (send side
-    deliberately {e not} shut down) until the server closes it or
-    [hold] seconds pass — the probe for [serve --idle-timeout]. *)
+(** {!client_roundtrip_addr}'s pump, except that once [lines] are sent
+    the connection stays open and idle (send side deliberately {e not}
+    shut down) until the server closes it or [hold] seconds pass — the
+    probe for [serve --idle-timeout]. *)

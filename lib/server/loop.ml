@@ -9,7 +9,10 @@ let m_shed = Obs.Counter.make ~det:false "server.shed"
 
 (* --- listeners --- *)
 
-type listener = { lfd : Unix.file_descr; tcp : bool; cleanup : unit -> unit }
+type socket = { lfd : Unix.file_descr; tcp : bool; cleanup : unit -> unit }
+
+(* a stdio listener yields one connection over an inherited fd pair *)
+type listener = Socket of socket | Stdio of { input : Unix.file_descr; output : Unix.file_descr }
 
 let remove_stale_socket path =
   match Unix.lstat path with
@@ -24,14 +27,15 @@ let unix_listener ~path =
   remove_stale_socket path;
   Unix.bind sock (Unix.ADDR_UNIX path);
   Unix.listen sock 64;
-  {
-    lfd = sock;
-    tcp = false;
-    cleanup =
-      (fun () ->
-        (try Unix.close sock with Unix.Unix_error _ -> ());
-        try Unix.unlink path with Unix.Unix_error _ -> ());
-  }
+  Socket
+    {
+      lfd = sock;
+      tcp = false;
+      cleanup =
+        (fun () ->
+          (try Unix.close sock with Unix.Unix_error _ -> ());
+          try Unix.unlink path with Unix.Unix_error _ -> ());
+    }
 
 let resolve_host host =
   match Unix.inet_addr_of_string host with
@@ -49,12 +53,17 @@ let tcp_listener ~host ~port =
   Unix.setsockopt sock Unix.SO_REUSEADDR true;
   Unix.bind sock (Unix.ADDR_INET (inet, port));
   Unix.listen sock 64;
-  { lfd = sock; tcp = true; cleanup = (fun () -> try Unix.close sock with Unix.Unix_error _ -> ()) }
+  Socket
+    { lfd = sock; tcp = true; cleanup = (fun () -> try Unix.close sock with Unix.Unix_error _ -> ()) }
 
-let bound_port l =
-  match Unix.getsockname l.lfd with
-  | Unix.ADDR_INET (_, port) -> port
-  | _ -> invalid_arg "Loop.bound_port: not a TCP listener"
+let stdio_listener ~input ~output = Stdio { input; output }
+
+let bound_port = function
+  | Socket { lfd; tcp = true; _ } -> (
+    match Unix.getsockname lfd with
+    | Unix.ADDR_INET (_, port) -> port
+    | _ -> invalid_arg "Loop.bound_port: not a TCP listener")
+  | Socket _ | Stdio _ -> invalid_arg "Loop.bound_port: not a TCP listener"
 
 (* --- services --- *)
 
@@ -81,7 +90,9 @@ let engine_service engine =
 (* --- connections --- *)
 
 type conn = {
-  fd : Unix.file_descr;
+  rfd : Unix.file_descr;
+  wfd : Unix.file_descr;  (* = [rfd] for a socket *)
+  owned : bool;  (* false for inherited stdio fds: left blocking and never closed *)
   framing : Framing.t;
   steps : Engine.step Queue.t;  (* pending work, in arrival order *)
   mutable queued : int;  (* Eval steps among [steps] (read-eligibility bound) *)
@@ -96,6 +107,8 @@ type conn = {
 let buffered_bytes c = String.length c.pending - c.pending_off + Buffer.length c.out
 let finished c = c.dead || (c.input_closed && Queue.is_empty c.steps && buffered_bytes c = 0)
 
+let close_conn c = if c.owned then try Unix.close c.rfd with Unix.Unix_error _ -> ()
+
 let flush c =
   let rec go () =
     if c.pending_off >= String.length c.pending then begin
@@ -108,7 +121,7 @@ let flush c =
     end
     else
       match
-        Unix.write_substring c.fd c.pending c.pending_off (String.length c.pending - c.pending_off)
+        Unix.write_substring c.wfd c.pending c.pending_off (String.length c.pending - c.pending_off)
       with
       | n ->
         c.pending_off <- c.pending_off + n;
@@ -147,6 +160,26 @@ let serve_service service ?timeout ?idle_timeout ?(limits = default_limits) list
         | Engine.Emit _ as step -> Queue.add step c.steps)
       (Engine.plan items)
   in
+  let open_conn ~owned rfd wfd =
+    Obs.Counter.incr m_connections;
+    conns :=
+      {
+        rfd;
+        wfd;
+        owned;
+        framing = Framing.create ?timeout ();
+        steps = Queue.create ();
+        queued = 0;
+        pending = "";
+        pending_off = 0;
+        out = Buffer.create 1024;
+        input_closed = false;
+        dead = false;
+        last_activity = Unix.gettimeofday ();
+      }
+      :: !conns;
+    Obs.Gauge.set m_active (List.length !conns)
+  in
   let accept_ready l =
     let rec go () =
       match Unix.accept ~cloexec:true l.lfd with
@@ -156,28 +189,13 @@ let serve_service service ?timeout ?idle_timeout ?(limits = default_limits) list
       | fd, _ ->
         Unix.set_nonblock fd;
         if l.tcp then (try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ());
-        Obs.Counter.incr m_connections;
-        conns :=
-          {
-            fd;
-            framing = Framing.create ?timeout ();
-            steps = Queue.create ();
-            queued = 0;
-            pending = "";
-            pending_off = 0;
-            out = Buffer.create 1024;
-            input_closed = false;
-            dead = false;
-            last_activity = Unix.gettimeofday ();
-          }
-          :: !conns;
-        Obs.Gauge.set m_active (List.length !conns);
+        open_conn ~owned:true fd fd;
         go ()
     in
     go ()
   in
   let read_conn c =
-    match Unix.read c.fd chunk 0 (Bytes.length chunk) with
+    match Unix.read c.rfd chunk 0 (Bytes.length chunk) with
     | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> ()
     | exception Unix.Unix_error (_, _, _) -> c.dead <- true
     | 0 ->
@@ -262,7 +280,7 @@ let serve_service service ?timeout ?idle_timeout ?(limits = default_limits) list
   let reap () =
     let gone, live = List.partition finished !conns in
     if gone <> [] then begin
-      List.iter (fun c -> try Unix.close c.fd with Unix.Unix_error _ -> ()) gone;
+      List.iter close_conn gone;
       conns := live;
       Obs.Gauge.set m_active (List.length live)
     end
@@ -271,8 +289,16 @@ let serve_service service ?timeout ?idle_timeout ?(limits = default_limits) list
     (not c.dead) && (not c.input_closed) && c.queued < limits.max_pending
     && buffered_bytes c <= limits.max_buffered_bytes
   in
+  let sockets = List.filter_map (function Socket s -> Some s | Stdio _ -> None) listeners in
+  let listener_fds = List.map (fun l -> l.lfd) sockets in
+  List.iter
+    (function Stdio { input; output } -> open_conn ~owned:false input output | Socket _ -> ())
+    listeners;
+  (* runs until a stop request, or until no listener can accept (stdio
+     listeners yield their one connection up front) and no connection
+     is left *)
   let rec loop () =
-    if not (service.stop_requested ()) then begin
+    if (not (service.stop_requested ())) && (sockets <> [] || !conns <> []) then begin
       let now = Unix.gettimeofday () in
       let tick =
         if List.exists (fun c -> not (Queue.is_empty c.steps)) !conns then 0.0
@@ -284,25 +310,24 @@ let serve_service service ?timeout ?idle_timeout ?(limits = default_limits) list
               | Some d -> Float.min acc (Float.max 0.0 (d -. now)))
             0.5 !conns
       in
-      let listener_fds = List.map (fun l -> l.lfd) listeners in
       let read_fds =
-        listener_fds @ List.filter_map (fun c -> if readable_conn c then Some c.fd else None) !conns
+        listener_fds @ List.filter_map (fun c -> if readable_conn c then Some c.rfd else None) !conns
       in
       let write_fds =
-        List.filter_map (fun c -> if (not c.dead) && buffered_bytes c > 0 then Some c.fd else None) !conns
+        List.filter_map (fun c -> if (not c.dead) && buffered_bytes c > 0 then Some c.wfd else None) !conns
       in
       (match Unix.select read_fds write_fds [] tick with
        | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
        | readable, writable, _ ->
-         List.iter (fun l -> if List.memq l.lfd readable then accept_ready l) listeners;
-         List.iter (fun c -> if List.memq c.fd readable then read_conn c) !conns;
+         List.iter (fun l -> if List.memq l.lfd readable then accept_ready l) sockets;
+         List.iter (fun c -> if List.memq c.rfd readable then read_conn c) !conns;
          let now = Unix.gettimeofday () in
          List.iter
            (fun c -> if not c.dead then enqueue c (Framing.check_deadline c.framing ~now))
            !conns;
          evaluate ();
          List.iter
-           (fun c -> if List.memq c.fd writable || buffered_bytes c > 0 then flush c)
+           (fun c -> if List.memq c.wfd writable || buffered_bytes c > 0 then flush c)
            !conns;
          kill_idle (Unix.gettimeofday ());
          reap ());
@@ -320,22 +345,32 @@ let serve_service service ?timeout ?idle_timeout ?(limits = default_limits) list
       List.iter flush !conns;
       let blocked = List.filter (fun c -> (not c.dead) && buffered_bytes c > 0) !conns in
       if blocked <> [] && Unix.gettimeofday () < flush_by then begin
-        (match Unix.select [] (List.map (fun c -> c.fd) blocked) [] 0.1 with
+        (match Unix.select [] (List.map (fun c -> c.wfd) blocked) [] 0.1 with
          | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
          | _ -> ());
         flush_all ()
       end
     in
-    flush_all ();
-    List.iter (fun c -> try Unix.close c.fd with Unix.Unix_error _ -> ()) !conns;
-    conns := [];
-    Obs.Gauge.set m_active 0
+    flush_all ()
   in
-  Fun.protect
-    ~finally:(fun () ->
-      drain ();
-      List.iter (fun l -> l.cleanup ()) listeners)
-    loop
+  let close_all () =
+    List.iter close_conn !conns;
+    conns := [];
+    Obs.Gauge.set m_active 0;
+    List.iter (fun l -> l.cleanup ()) sockets
+  in
+  (* drain only after a stop: a service that raised must not be called
+     again (for the admission daemon the exception is a simulated
+     crash), so its connections are closed unanswered *)
+  match
+    loop ();
+    drain ()
+  with
+  | () -> close_all ()
+  | exception e ->
+    let bt = Printexc.get_raw_backtrace () in
+    close_all ();
+    Printexc.raise_with_backtrace e bt
 
 let serve engine ?timeout ?idle_timeout ?limits listeners =
   serve_service (engine_service engine) ?timeout ?idle_timeout ?limits listeners

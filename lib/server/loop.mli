@@ -1,22 +1,25 @@
-(** The multi-client event loop behind [redf serve --socket/--listen]:
-    one [select]-driven thread multiplexing any number of concurrent
-    connections over any number of listeners (Unix-domain and TCP),
-    with the request evaluation itself fanned out over the engine's
-    worker pool.
+(** The event loop behind [redf serve] and [redf admit]: one
+    [select]-driven thread multiplexing any number of concurrent
+    connections over any number of listeners (stdio, Unix-domain and
+    TCP), with the request evaluation itself fanned out over the
+    engine's worker pool.  It is the only request loop: stdio is one
+    more connection kind.
 
-    Shape: each connection carries a {!Framing.t} (so the byte-cap /
-    timeout / order contracts are per connection), an ordered queue of
-    pending steps ({!Engine.step}), and an output buffer drained
-    through its non-blocking fd.  Each tick, the loop accepts, reads
-    whatever is available, frames it, and evaluates the ready request
-    lines of {e all} connections as one {!Engine.handle_lines} pool
-    batch, stitching the responses back per connection in arrival
+    Shape: each connection carries a read fd and a write fd (the same
+    socket, or an inherited stdin/stdout pair), a {!Framing.t} (so the
+    byte-cap / timeout / order contracts are per connection), an
+    ordered queue of pending steps ({!Engine.step}), and an output
+    buffer drained through its write fd.  Each tick, the loop accepts,
+    reads whatever is available, frames it, and evaluates the ready
+    request lines of {e all} connections as one {!Engine.handle_lines}
+    pool batch, stitching the responses back per connection in arrival
     order.
 
     Determinism contract: per connection, the response stream is
-    byte-identical to what the serial stdio loop would produce for the
-    same request lines — batching across connections changes wall-clock
-    only, never bytes.  ([redf bench-serve] checks exactly this.)
+    byte-identical to one in-process {!Engine.handle_lines} batch of
+    the same request lines — batching across connections changes
+    wall-clock only, never bytes.  ([redf bench-serve] checks exactly
+    this.)
 
     Backpressure and load shedding:
     - a connection whose pending-step queue reaches [max_pending], or
@@ -32,7 +35,9 @@
     Graceful drain: after {!Engine.request_stop}, every request line
     already received is answered and flushed (bounded by a few
     seconds for unresponsive clients), partial lines are dropped, all
-    fds are closed and socket files removed. *)
+    owned fds are closed and socket files removed.  If the service
+    raises, it is not called again: the connections are closed
+    unanswered, the listeners cleaned up, and the exception re-raised. *)
 
 type limits = {
   max_pending : int;
@@ -63,9 +68,15 @@ val tcp_listener : host:string -> port:int -> listener
     (recover it with {!bound_port}).
     @raise Unix.Unix_error / Failure on resolve/bind/listen problems. *)
 
+val stdio_listener : input:Unix.file_descr -> output:Unix.file_descr -> listener
+(** Exactly one connection, reading [input] and writing [output] —
+    typically [Unix.stdin] / [Unix.stdout].  The fds are inherited from
+    (and shared with) the parent, so the loop never makes them
+    non-blocking and never closes them. *)
+
 val bound_port : listener -> int
 (** The actually bound TCP port (useful after [port = 0]).
-    @raise Invalid_argument on a Unix-domain listener. *)
+    @raise Invalid_argument on a Unix-domain or stdio listener. *)
 
 type service = {
   handle_lines : string array -> string array;
@@ -87,13 +98,17 @@ val engine_service : Engine.t -> service
 
 val serve_service :
   service -> ?timeout:float -> ?idle_timeout:float -> ?limits:limits -> listener list -> unit
-(** Run the event loop over [listeners] until [stop_requested], then
-    drain and clean the listeners up (also on exception).  [timeout]
-    is the per-connection partial-line deadline, as for
-    {!Engine.serve}.  [idle_timeout] (seconds; default: off) closes a
-    connection that stayed completely idle — nothing read, queued or
-    unwritten — for longer than the limit (granularity: one loop tick,
-    up to 0.5 s).  SIGPIPE is ignored for the process: a client that
+(** Run the event loop over [listeners] until [stop_requested] (then
+    drain), or until no listener can accept and no connection is left
+    — so a stdio-only run returns once input EOF is reached and the
+    last reply is flushed.  Listeners are cleaned up either way, and
+    on exception.  [timeout] (seconds) bounds the wait for the rest of
+    a {e partially} received request line, measured from when the
+    partial started ({!Framing}); on expiry the partial is dropped and
+    an error response emitted.  [idle_timeout] (seconds; default: off)
+    closes a connection that stayed completely idle — nothing read,
+    queued or unwritten — for longer than the limit (granularity: one
+    loop tick, up to 0.5 s).  SIGPIPE is ignored for the process: a client that
     vanishes mid-write costs its connection, never the loop. *)
 
 val serve : Engine.t -> ?timeout:float -> ?idle_timeout:float -> ?limits:limits -> listener list -> unit

@@ -3,8 +3,8 @@
    exception), ordered and worker-count-independent batch evaluation,
    the framing state machine (line cap, partial-line deadline, and the
    rule that framing errors never swallow neighbouring requests), and
-   full client/server roundtrips over Unix-domain and TCP sockets
-   through the multi-client event loop. *)
+   the event loop end to end over a stdio pipe pair and full
+   client/server roundtrips over Unix-domain and TCP sockets. *)
 
 open Core_helpers
 
@@ -155,17 +155,19 @@ let response_error line =
     match Core.Json.member "error" json with Some (Core.Json.String e) -> e | _ -> "?")
   | Error _ -> "?"
 
+let handle_one engine line = (Server.Engine.handle_lines engine [| line |]).(0)
+
 let isolation () =
   with_engine (fun engine ->
-      let good = Server.Engine.handle_line engine (request table1) in
+      let good = handle_one engine (request table1) in
       check_str "verdict" "verdict" (response_kind good);
       List.iter
         (fun bad ->
-          let resp = Server.Engine.handle_line engine bad in
+          let resp = handle_one engine bad in
           check_str "error response" "error" (response_kind resp))
         [ "garbage"; "{}"; {|{"analyzer":"DP"}|}; String.make 100 '[' ];
       (* the engine still answers after the bad lines *)
-      check_str "still serving" good (Server.Engine.handle_line engine (request table1)))
+      check_str "still serving" good (handle_one engine (request table1)))
 
 let batch_order_and_determinism () =
   let lines =
@@ -206,7 +208,7 @@ let cached_batch_identical () =
       check_int "first batch probes all miss" 20 s.Cache.Lru.misses;
       check_int "second batch all hit" 20 s.Cache.Lru.hits)
 
-(* --- serve over pipes (the framing regressions, end to end) --- *)
+(* --- the loop over a stdio pipe pair (the framing regressions, end to end) --- *)
 
 let write_all fd s =
   let off = ref 0 in
@@ -230,26 +232,32 @@ let read_all fd =
   go ();
   Buffer.contents buf
 
-(* run [Engine.serve] over pipes, feed it with [script] (which may
-   sleep between writes), and return the response lines *)
+let lines_of s = String.split_on_char '\n' s |> List.filter (fun l -> String.trim l <> "")
+
+(* run the loop over a stdio listener on pipes, feed it with [script]
+   (which may sleep between writes), and return the response lines.  No
+   stop is requested: the loop must return by itself at input EOF, with
+   every reply flushed and the caller's fds still open *)
 let serve_script ?timeout script =
   with_engine (fun engine ->
       let r_in, w_in = Unix.pipe ~cloexec:true () in
       let r_out, w_out = Unix.pipe ~cloexec:true () in
       let server =
         Domain.spawn (fun () ->
-            Server.Engine.serve engine ?timeout ~input:r_in ~output:w_out ())
+            Server.Loop.serve engine ?timeout
+              [ Server.Loop.stdio_listener ~input:r_in ~output:w_out ])
       in
       script (write_all w_in);
       Unix.close w_in;
       Domain.join server;
-      Unix.close w_out;
-      Unix.close r_in;
-      let responses =
-        String.split_on_char '\n' (read_all r_out) |> List.filter (fun l -> String.trim l <> "")
-      in
+      check_int "input left open, at EOF" 0 (Unix.read r_in (Bytes.create 1) 0 1);
+      write_all w_out "output-left-open\n";
+      List.iter Unix.close [ r_in; w_out ];
+      let responses = lines_of (read_all r_out) in
       Unix.close r_out;
-      responses)
+      match List.rev responses with
+      | "output-left-open" :: rest -> List.rev rest
+      | _ -> Alcotest.fail "output fd closed under the caller")
 
 let big = String.make (Server.Framing.default_max_line_bytes + 64) 'x'
 
@@ -295,6 +303,15 @@ let serve_timeout_resists_trickling () =
   check_str "the timeout error" Server.Engine.timeout_message
     (response_error (List.nth responses 0))
 
+let stdio_returns_on_eof () =
+  let lines = List.init 50 (fun i -> request ~id:(Core.Json.Int i) table1) in
+  let responses = serve_script (fun write -> List.iter (fun l -> write (l ^ "\n")) lines) in
+  with_engine (fun engine ->
+      Alcotest.(check (list string))
+        "every reply flushed before the loop returned"
+        (Array.to_list (Server.Engine.handle_lines engine (Array.of_list lines)))
+        responses)
+
 (* --- the multi-client event loop --- *)
 
 let temp_socket name =
@@ -334,7 +351,7 @@ let socket_roundtrip () =
       check_str "third is a verdict" "verdict" (response_kind responses.(2));
       (* in-process evaluation and the socket path agree byte for byte *)
       check_str "socket equals in-process"
-        (Server.Engine.handle_line engine lines.(0))
+        (handle_one engine lines.(0))
         responses.(0));
   check_bool "socket file removed" false (Sys.file_exists path)
 
@@ -348,7 +365,7 @@ let tcp_roundtrip () =
       let responses = roundtrip ~addr lines in
       check_int "two responses" 2 (Array.length responses);
       check_str "tcp equals in-process"
-        (Server.Engine.handle_line engine lines.(0))
+        (handle_one engine lines.(0))
         responses.(0);
       check_str "error isolated" "error" (response_kind responses.(1)))
 
@@ -397,7 +414,7 @@ let load_shedding () =
   with_loop ~limits ~jobs:1 [ Server.Loop.unix_listener ~path ] (fun engine ->
       let responses = roundtrip ~addr:(Unix.ADDR_UNIX path) lines in
       check_int "one response per request" 4 (Array.length responses);
-      check_str "first admitted" (Server.Engine.handle_line engine lines.(0)) responses.(0);
+      check_str "first admitted" (handle_one engine lines.(0)) responses.(0);
       Array.iteri
         (fun i resp ->
           if i > 0 then begin
@@ -436,7 +453,7 @@ let abrupt_disconnect_isolated () =
         check_int (Printf.sprintf "round %d: served" round) 1 (Array.length responses);
         check_str
           (Printf.sprintf "round %d: byte-identical" round)
-          (Server.Engine.handle_line engine (request ~id:(Core.Json.Int round) table1))
+          (handle_one engine (request ~id:(Core.Json.Int round) table1))
           responses.(0)
       done)
 
@@ -552,14 +569,54 @@ let mutation_shed_deferred () =
       (* one write, so one server read: enqueued as one step batch *)
       write_all sock "query-1\nmut-1\nquery-2\n";
       Unix.shutdown sock Unix.SHUTDOWN_SEND;
-      let responses =
-        String.split_on_char '\n' (read_all sock) |> List.filter (fun l -> String.trim l <> "")
-      in
+      let responses = lines_of (read_all sock) in
       Unix.close sock;
       Alcotest.(check (list string))
         "mutation admitted beyond the query threshold"
         [ "done:query-1"; "done:mut-1"; "shed:query-2" ]
         responses)
+
+exception Boom
+
+let raising_service_not_called_again () =
+  (* regression: the loop drained through [Fun.protect ~finally], so a
+     service that raised was called again for the lines still queued
+     (the admission daemon kept journaling after a simulated crash), and
+     a second raise escaped as [Fun.Finally_raised] with the socket file
+     left behind and the client never closed *)
+  let path = temp_socket "redf-test-raise.sock" in
+  let calls = Atomic.make 0 in
+  let service =
+    {
+      Server.Loop.handle_lines =
+        (fun lines ->
+          Atomic.incr calls;
+          if Atomic.get calls = 1 then raise Boom;
+          Array.map (fun l -> "done:" ^ l) lines);
+      stop_requested = (fun () -> false);
+      shed_response = (fun l -> "shed:" ^ l);
+      is_mutation = (fun _ -> false);
+    }
+  in
+  (* two lines per evaluation, so three of the five stay queued *)
+  let limits = { Server.Loop.default_limits with Server.Loop.max_pending = 2 } in
+  let listener = Server.Loop.unix_listener ~path in
+  let server =
+    Domain.spawn (fun () ->
+        match Server.Loop.serve_service service ~limits [ listener ] with
+        | () -> "returned"
+        | exception Boom -> "Boom"
+        | exception e -> Printexc.to_string e)
+  in
+  let sock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.connect sock (Unix.ADDR_UNIX path);
+  write_all sock "a\nb\nc\nd\ne\n";
+  let reply = read_all sock in
+  Unix.close sock;
+  check_str "the original exception escapes" "Boom" (Domain.join server);
+  check_int "service called exactly once" 1 (Atomic.get calls);
+  check_str "client sees EOF, no replies" "" reply;
+  check_bool "socket file removed" false (Sys.file_exists path)
 
 let () =
   Alcotest.run "server"
@@ -591,6 +648,7 @@ let () =
             serve_answers_lines_before_oversized_partial;
           Alcotest.test_case "caps terminated lines" `Quick serve_caps_terminated_lines;
           Alcotest.test_case "timeout resists trickling" `Quick serve_timeout_resists_trickling;
+          Alcotest.test_case "stdio returns on EOF, fds left open" `Quick stdio_returns_on_eof;
         ] );
       ( "loop",
         [
@@ -603,5 +661,7 @@ let () =
             idle_timeout_closes_idle_connection;
           Alcotest.test_case "retry client resumes suffix" `Quick retry_client_resumes_suffix;
           Alcotest.test_case "mutation shed deferred" `Quick mutation_shed_deferred;
+          Alcotest.test_case "raising service not called again" `Quick
+            raising_service_not_called_again;
         ] );
     ]
