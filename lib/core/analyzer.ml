@@ -19,11 +19,11 @@ let guan = "Guan, Gu, Deng, Liu, Yu (IPDPS 2007)"
 let dp =
   make ~decide_all:Dp.decide_all ~name:"DP"
     ~cite:("Theorem 1, " ^ guan ^ ", after Danne & Platzner")
-    ~version:"1" Dp.decide
+    ~version:"2" Dp.decide
 
 let dp_original =
   make ~name:"DP-original"
-    ~cite:"Danne & Platzner's uncorrected bound (real-valued areas)" ~version:"1"
+    ~cite:"Danne & Platzner's uncorrected bound (real-valued areas)" ~version:"2"
     Dp.decide_original
 
 let gn1 =

@@ -1,74 +1,38 @@
 let applicable ts = Model.Taskset.all_implicit_deadline ts
 
 let wider_note = "a task is wider than the FPGA"
+let domain_note = "DP requires implicit deadlines (D = T)"
 
-let bound_general ~plus_one ~fpga_area qs k =
-  let q = qs.(k) in
-  let a = fpga_area - Params.amax qs + if plus_one then 1 else 0 in
-  let open Rat.Infix in
-  (Rat.of_int a * (Rat.one - Params.time_utilization q)) + Params.system_utilization q
-
-(* record-path implementation, kept as the byte-identity reference for
-   the columnar fast path (test_columns.ml) *)
-let decide_general ~test_name ~plus_one ~fpga_area ts =
-  let qs = Params.of_taskset ts in
-  if Params.amax qs > fpga_area then Verdict.reject_all ~test_name ~note:wider_note ts
+(* the domain check is an O(N) int-tick scan, ahead of any rational
+   work; the per-task division C_k/T_k and the area scan come
+   precomputed in Params, so per task only the bound's two multiplies
+   remain *)
+let kernel ~test_name ~plus_one ~fpga_area ts =
+  if not (applicable ts) then Verdict.reject_all ~test_name ~note:domain_note ts
   else begin
-    let us = Params.total_us qs in
-    let checks =
-      Array.to_list
-        (Array.mapi
-           (fun k _ ->
-             let rhs = bound_general ~plus_one ~fpga_area qs k in
-             {
-               Verdict.task_index = k;
-               satisfied = Rat.compare us rhs <= 0;
-               lhs = us;
-               rhs;
-               note = "US(Gamma) vs (A(H)-Amax" ^ (if plus_one then "+1" else "") ^ ")(1-UT_k)+US_k";
-             })
-           qs)
-    in
-    Verdict.make ~test_name ~checks
-  end
-
-(* columnar path: the per-task division C_k/T_k and the area scan are
-   hoisted into Params.Cols; per task only the bound's two multiplies
-   remain.  Same rational op sequence per check, so same bytes. *)
-let decide_cols ~test_name ~plus_one ~fpga_area (p : Params.Cols.t) =
-  if p.Params.Cols.amax > fpga_area then Verdict.reject_all_n ~test_name ~note:wider_note p.Params.Cols.n
-  else begin
-    let u = p.Params.Cols.u and area_q = p.Params.Cols.area_q in
-    let us = Params.Cols.total_us p in
-    let a = Rat.of_int (fpga_area - p.Params.Cols.amax + if plus_one then 1 else 0) in
-    let note = "US(Gamma) vs (A(H)-Amax" ^ (if plus_one then "+1" else "") ^ ")(1-UT_k)+US_k" in
-    let checks =
-      List.init p.Params.Cols.n (fun k ->
-          let rhs = Rat.add (Rat.mul a (Rat.sub Rat.one u.(k))) (Rat.mul u.(k) area_q.(k)) in
-          { Verdict.task_index = k; satisfied = Rat.compare us rhs <= 0; lhs = us; rhs; note })
-    in
-    Verdict.make ~test_name ~checks
+    let p = Params.of_taskset ts in
+    if p.amax > fpga_area then Verdict.reject_all_n ~test_name ~note:wider_note p.n
+    else begin
+      let us = Params.total_us p in
+      let a = Rat.of_int (fpga_area - p.amax + if plus_one then 1 else 0) in
+      let note = "US(Gamma) vs (A(H)-Amax" ^ (if plus_one then "+1" else "") ^ ")(1-UT_k)+US_k" in
+      let checks =
+        List.init p.n (fun k ->
+            let rhs = Rat.add (Rat.mul a (Rat.sub Rat.one p.u.(k))) (Rat.mul p.u.(k) p.area_q.(k)) in
+            { Verdict.task_index = k; satisfied = Rat.compare us rhs <= 0; lhs = us; rhs; note })
+      in
+      Verdict.make ~test_name ~checks
+    end
   end
 
 let decide ~fpga_area ts =
   Obs.Span.with_ ~name:"core.dp.decide" (fun () ->
-      decide_cols ~test_name:"DP" ~plus_one:true ~fpga_area (Params.Cols.of_taskset ts))
+      kernel ~test_name:"DP" ~plus_one:true ~fpga_area ts)
 
 let decide_all ~fpga_area tss =
   Obs.Span.with_ ~name:"core.dp.decide" (fun () ->
-      Array.map
-        (fun ts -> decide_cols ~test_name:"DP" ~plus_one:true ~fpga_area (Params.Cols.of_taskset ts))
-        tss)
+      Array.map (kernel ~test_name:"DP" ~plus_one:true ~fpga_area) tss)
 
-let decide_reference ~fpga_area ts = decide_general ~test_name:"DP" ~plus_one:true ~fpga_area ts
 let accepts ~fpga_area ts = Verdict.accepted (decide ~fpga_area ts)
-
-let decide_original ~fpga_area ts =
-  decide_cols ~test_name:"DP-original" ~plus_one:false ~fpga_area (Params.Cols.of_taskset ts)
-
+let decide_original ~fpga_area ts = kernel ~test_name:"DP-original" ~plus_one:false ~fpga_area ts
 let accepts_original ~fpga_area ts = Verdict.accepted (decide_original ~fpga_area ts)
-
-let bound ~fpga_area ts ~k =
-  let qs = Params.of_taskset ts in
-  if k < 0 || k >= Array.length qs then invalid_arg "Dp.bound: task index out of range";
-  bound_general ~plus_one:true ~fpga_area qs k

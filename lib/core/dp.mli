@@ -8,9 +8,12 @@
     {v US(Gamma) <= (A(H) - Amax + 1) * (1 - UT(tau_k)) + US(tau_k) v}
 
     The test is derived for periodic tasks with implicit deadlines
-    ([D = T]); {!applicable} reports whether a taskset is in its domain.
-    {!decide_original} evaluates Danne & Platzner's uncorrected bound
-    (real-valued areas, [A(H) - Amax]), kept as a baseline. *)
+    ([D = T]); {!applicable} reports whether a taskset is in its domain,
+    and outside it every task is rejected with the note
+    ["DP requires implicit deadlines (D = T)"] (a constrained deadline
+    can miss although the bound holds).  {!decide_original} evaluates
+    Danne & Platzner's uncorrected bound (real-valued areas,
+    [A(H) - Amax]), kept as a baseline, on the same domain. *)
 
 val applicable : Model.Taskset.t -> bool
 (** All deadlines implicit. *)
@@ -22,18 +25,7 @@ val decide_all : fpga_area:int -> Model.Taskset.t array -> Verdict.t array
 (** One verdict per taskset, in order; element [i] is byte-identical to
     [decide ~fpga_area tss.(i)]. *)
 
-val decide_cols : test_name:string -> plus_one:bool -> fpga_area:int -> Params.Cols.t -> Verdict.t
-(** The columnar kernel behind {!decide} (and, with [plus_one:false],
-    {!decide_original}). *)
-
-val decide_reference : fpga_area:int -> Model.Taskset.t -> Verdict.t
-(** The pre-columnar record-path implementation, kept so the test suite
-    can pin [decide ≡ decide_reference] byte-for-byte. *)
-
 val decide_original : fpga_area:int -> Model.Taskset.t -> Verdict.t
 (** Danne & Platzner's original bound with [A(H) - Amax] (no [+1]). *)
 
 val accepts_original : fpga_area:int -> Model.Taskset.t -> bool
-
-val bound : fpga_area:int -> Model.Taskset.t -> k:int -> Rat.t
-(** The right-hand side for task [k] (0-based), integer-corrected form. *)

@@ -1,85 +1,9 @@
-(* beta^lambda_k(i) as in Lemma 7, with the paper's middle-case typo
-   (C_k/T_k) corrected to C_i/T_i; see DESIGN.md section 2. *)
-let beta_lambda_q qs ~k ~i ~lambda =
-  let qi = qs.(i) and qk = qs.(k) in
-  let ui = Params.time_utilization qi in
-  let dens_i = Params.density qi in
-  let light = Rat.compare ui lambda <= 0 in
-  let finishes = Rat.compare lambda dens_i >= 0 in
-  let open Rat.Infix in
-  if light then
-    Rat.max ui ((ui * (Rat.one - (qi.Params.d / qk.Params.d))) + (qi.Params.c / qk.Params.d))
-  else if finishes then ui
-  else ui + ((qi.Params.c - (lambda * qi.Params.d)) / qk.Params.d)
-
-(* lambda_k = lambda * max(1, T_k/D_k) *)
-let lambda_k_of qk lambda =
-  Rat.mul lambda (Rat.max Rat.one (Rat.div qk.Params.t qk.Params.d))
-
-(* The only candidates are the discontinuity points of beta named by the
-   paper's complexity discussion: lambda = C_i/T_i for every i, plus
-   C_i/D_i when D_i > T_i, restricted to lambda >= C_k/T_k (Theorem 3) and
-   lambda_k <= 1 (beyond which both conditions are vacuous).  Adding other
-   points — e.g. the upper interval end — would change decisions: at
-   lambda_k = 1 condition 2 degenerates to [sum < Amin] and would wrongly
-   accept the paper's Table 1. *)
-let lambda_candidates_q qs ~k =
-  let qk = qs.(k) in
-  let lo = Params.time_utilization qk in
-  let hi = Rat.min Rat.one (Rat.div qk.Params.d qk.Params.t) in
-  let discontinuities =
-    Array.to_list qs
-    |> List.concat_map (fun qi ->
-           let ui = Params.time_utilization qi in
-           if Rat.compare qi.Params.d qi.Params.t > 0 then [ ui; Params.density qi ] else [ ui ])
-  in
-  let in_range l = Rat.compare l lo >= 0 && Rat.compare l hi <= 0 in
-  let all = List.filter in_range discontinuities in
-  List.sort_uniq Rat.compare all
-
-type lambda_eval = {
-  lambda : Rat.t;
-  lambda_k : Rat.t;
-  cond1_lhs : Rat.t;
-  cond1_rhs : Rat.t;
-  cond1 : bool;
-  cond2_lhs : Rat.t;
-  cond2_rhs : Rat.t;
-  cond2 : bool;
-}
-
-(* candidates actually evaluated: the observable cost of the O(N^3)
-   test (each evaluation is an O(N) beta sweep) *)
+(* candidates actually evaluated: the observable cost of the sweep *)
 let m_lambda_evals = Obs.Counter.make "core.gn2.lambda_evals"
-
-let evaluate_lambda_q ~fpga_area qs ~k ~lambda =
-  Obs.Counter.incr m_lambda_evals;
-  let qk = qs.(k) in
-  let lambda_k = lambda_k_of qk lambda in
-  let abnd = Rat.of_int (fpga_area - Params.amax qs + 1) in
-  let amin = Rat.of_int (Params.amin qs) in
-  let open Rat.Infix in
-  let one_minus = Rat.one - lambda_k in
-  (* one pass computes both condition sums: beta is the expensive part *)
-  let cond1_lhs, cond2_lhs =
-    Array.fold_left
-      (fun (s1, s2) qi ->
-        let b = beta_lambda_q qs ~k ~i:qi.Params.index ~lambda in
-        ( s1 + (qi.Params.area_q * Rat.min b one_minus),
-          s2 + (qi.Params.area_q * Rat.min b Rat.one) ))
-      (Rat.zero, Rat.zero) qs
-  in
-  let cond1_rhs = abnd * one_minus in
-  let cond2_rhs = ((abnd - amin) * one_minus) + amin in
-  let cond1 = Stdlib.( < ) (Rat.compare cond1_lhs cond1_rhs) 0 in
-  let cond2 = Stdlib.( < ) (Rat.compare cond2_lhs cond2_rhs) 0 in
-  { lambda; lambda_k; cond1_lhs; cond1_rhs; cond1; cond2_lhs; cond2_rhs; cond2 }
 
 let wider_note = "a task is wider than the FPGA"
 
-(* The per-task check records are built by these four constructors so the
-   reference search, the exhaustive variant and the columnar sweep below
-   cannot drift apart in their printed bytes. *)
+(* the four shapes a per-task check record takes *)
 let check_cond1 ~k ~lambda ~lhs ~rhs =
   {
     Verdict.task_index = k;
@@ -116,79 +40,7 @@ let check_no_candidate ~k =
     note = "no lambda candidate in range";
   }
 
-(* record-path implementation, kept as the byte-identity reference for
-   the columnar sweep (test_columns.ml) *)
-let decide_reference ~fpga_area ts =
-  let test_name = "GN2" in
-  let qs = Params.of_taskset ts in
-  if Params.amax qs > fpga_area then Verdict.reject_all ~test_name ~note:wider_note ts
-  else begin
-    let check k =
-      let candidates = lambda_candidates_q qs ~k in
-      let rec search best = function
-        | [] -> (
-          (* rejected: report the evaluation that came closest on cond 2 *)
-          match best with
-          | Some ev -> check_closest ~k ~lambda:ev.lambda ~lhs:ev.cond2_lhs ~rhs:ev.cond2_rhs
-          | None -> check_no_candidate ~k)
-        | lambda :: rest ->
-          let ev = evaluate_lambda_q ~fpga_area qs ~k ~lambda in
-          if ev.cond1 then check_cond1 ~k ~lambda ~lhs:ev.cond1_lhs ~rhs:ev.cond1_rhs
-          else if ev.cond2 then check_cond2 ~k ~lambda ~lhs:ev.cond2_lhs ~rhs:ev.cond2_rhs
-          else begin
-            let better =
-              match best with
-              | None -> true
-              | Some b ->
-                Rat.compare (Rat.sub ev.cond2_lhs ev.cond2_rhs) (Rat.sub b.cond2_lhs b.cond2_rhs) < 0
-            in
-            search (if better then Some ev else best) rest
-          end
-      in
-      search None candidates
-    in
-    Verdict.make ~test_name ~checks:(List.init (Array.length qs) check)
-  end
-
-(* Ablation twin of decide_reference that evaluates *every* candidate
-   before deciding.  Verdicts (accept/reject, sides, notes) are
-   byte-identical — only the core.gn2.lambda_evals counter differs,
-   which is what makes the early-exit pruning observable. *)
-let decide_exhaustive ~fpga_area ts =
-  let test_name = "GN2" in
-  let qs = Params.of_taskset ts in
-  if Params.amax qs > fpga_area then Verdict.reject_all ~test_name ~note:wider_note ts
-  else begin
-    let check k =
-      let evs =
-        List.map
-          (fun lambda -> evaluate_lambda_q ~fpga_area qs ~k ~lambda)
-          (lambda_candidates_q qs ~k)
-      in
-      let rec scan best = function
-        | [] -> (
-          match best with
-          | Some ev -> check_closest ~k ~lambda:ev.lambda ~lhs:ev.cond2_lhs ~rhs:ev.cond2_rhs
-          | None -> check_no_candidate ~k)
-        | ev :: rest ->
-          if ev.cond1 then check_cond1 ~k ~lambda:ev.lambda ~lhs:ev.cond1_lhs ~rhs:ev.cond1_rhs
-          else if ev.cond2 then check_cond2 ~k ~lambda:ev.lambda ~lhs:ev.cond2_lhs ~rhs:ev.cond2_rhs
-          else begin
-            let better =
-              match best with
-              | None -> true
-              | Some b ->
-                Rat.compare (Rat.sub ev.cond2_lhs ev.cond2_rhs) (Rat.sub b.cond2_lhs b.cond2_rhs) < 0
-            in
-            scan (if better then Some ev else best) rest
-          end
-      in
-      scan None evs
-    in
-    Verdict.make ~test_name ~checks:(List.init (Array.length qs) check)
-  end
-
-(* --- columnar sweep ---------------------------------------------------
+(* --- the lambda sweep --------------------------------------------------
 
    Lemma 7's beta is, for fixed k, a hinge in lambda:
 
@@ -204,7 +56,7 @@ let decide_exhaustive ~fpga_area ts =
    turn piece changes into (delta-slope, delta-intercept) events, and
    evaluate every candidate in O(1) from running linear coefficients.
    Together with the single globally-sorted candidate array (built once
-   per taskset, sliced per k) this replaces the O(N) beta sweep per
+   per taskset, sliced per k) this avoids an O(N) beta fold per
    candidate: O(N^2 log N) per taskset instead of O(N^3).
 
    Piece classification samples the exact-rational midpoint of each
@@ -212,19 +64,20 @@ let decide_exhaustive ~fpga_area ts =
    sampled piece valid on the closed subinterval, so candidates sitting
    exactly on a breakpoint get the same value either side.  All
    arithmetic stays in Rat, so every lhs/rhs is value-equal — hence
-   byte-identical once printed — to the reference fold above. *)
+   byte-identical once printed — to the direct per-candidate fold of
+   Theorem 3 (test/oracle.ml pins this). *)
 
 type pre = {
-  p : Params.Cols.t;
+  p : Params.t;
   kink : Rat.t array;  (* where beta_i's descending branch meets K_i *)
   smax : Rat.t array;  (* max(C_i - u_i D_i, 0) *)
   cands : Rat.t array;  (* all discontinuity points, sorted, unique *)
 }
 
-let precompute (p : Params.Cols.t) =
-  let n = p.Params.Cols.n in
-  let c = p.Params.Cols.c and d = p.Params.Cols.d and t = p.Params.Cols.t in
-  let u = p.Params.Cols.u and dens = p.Params.Cols.dens in
+let precompute (p : Params.t) =
+  let n = p.Params.n in
+  let c = p.Params.c and d = p.Params.d and t = p.Params.t in
+  let u = p.Params.u and dens = p.Params.dens in
   let kink = Array.init n (fun i -> if Rat.compare d.(i) t.(i) <= 0 then u.(i) else dens.(i)) in
   let smax =
     Array.init n (fun i ->
@@ -242,9 +95,9 @@ type event = { at : Rat.t; dp1 : Rat.t; dq1 : Rat.t; dp2 : Rat.t; dq2 : Rat.t }
 
 let sweep_k ~abnd ~aminq pre k =
   let p = pre.p in
-  let n = p.Params.Cols.n in
-  let u = p.Params.Cols.u and c = p.Params.Cols.c and d = p.Params.Cols.d in
-  let t = p.Params.Cols.t and area_q = p.Params.Cols.area_q in
+  let n = p.Params.n in
+  let u = p.Params.u and c = p.Params.c and d = p.Params.d in
+  let t = p.Params.t and area_q = p.Params.area_q in
   let lo = u.(k) in
   let hi = Rat.min Rat.one (Rat.div d.(k) t.(k)) in
   (* candidate slice [first, last] of the global sorted array *)
@@ -372,41 +225,23 @@ let sweep_k ~abnd ~aminq pre k =
     search None !first
   end
 
-let decide_cols ~fpga_area (p : Params.Cols.t) =
+let kernel ~fpga_area (p : Params.t) =
   let test_name = "GN2" in
-  if p.Params.Cols.amax > fpga_area then
-    Verdict.reject_all_n ~test_name ~note:wider_note p.Params.Cols.n
+  if p.Params.amax > fpga_area then
+    Verdict.reject_all_n ~test_name ~note:wider_note p.Params.n
   else begin
     let pre = precompute p in
-    let abnd = Rat.of_int (fpga_area - p.Params.Cols.amax + 1) in
-    let aminq = Rat.of_int p.Params.Cols.amin in
-    Verdict.make ~test_name ~checks:(List.init p.Params.Cols.n (sweep_k ~abnd ~aminq pre))
+    let abnd = Rat.of_int (fpga_area - p.Params.amax + 1) in
+    let aminq = Rat.of_int p.Params.amin in
+    Verdict.make ~test_name ~checks:(List.init p.Params.n (sweep_k ~abnd ~aminq pre))
   end
 
 let decide ~fpga_area ts =
   Obs.Span.with_ ~name:"core.gn2.decide" (fun () ->
-      decide_cols ~fpga_area (Params.Cols.of_taskset ts))
+      kernel ~fpga_area (Params.of_taskset ts))
 
 let decide_all ~fpga_area tss =
   Obs.Span.with_ ~name:"core.gn2.decide" (fun () ->
-      Array.map (fun ts -> decide_cols ~fpga_area (Params.Cols.of_taskset ts)) tss)
+      Array.map (fun ts -> kernel ~fpga_area (Params.of_taskset ts)) tss)
 
 let accepts ~fpga_area ts = Verdict.accepted (decide ~fpga_area ts)
-
-let check_k qs k = if k < 0 || k >= Array.length qs then invalid_arg "Gn2: task index out of range"
-
-let lambda_candidates ts ~k =
-  let qs = Params.of_taskset ts in
-  check_k qs k;
-  lambda_candidates_q qs ~k
-
-let beta_lambda ts ~k ~i ~lambda =
-  let qs = Params.of_taskset ts in
-  check_k qs k;
-  check_k qs i;
-  beta_lambda_q qs ~k ~i ~lambda
-
-let evaluate_lambda ~fpga_area ts ~k ~lambda =
-  let qs = Params.of_taskset ts in
-  check_k qs k;
-  evaluate_lambda_q ~fpga_area qs ~k ~lambda

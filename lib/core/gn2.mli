@@ -17,9 +17,16 @@
     {v 1)  sum_i A_i min(beta^lambda_k(i), 1 - lambda_k) <  Abnd (1 - lambda_k)
        2)  sum_i A_i min(beta^lambda_k(i), 1) < (Abnd - Amin)(1 - lambda_k) + Amin v}
 
-    Only the discontinuity points of [beta] need be tried
-    ([lambda = C_i/T_i], and [C_i/D_i] when [D_i > T_i]), giving the
-    paper's O(N^3) complexity.
+    Only the discontinuity points of [beta] need be tried: for task [k],
+    [lambda = C_i/T_i] for all [i], plus [C_i/D_i] when [D_i > T_i], that
+    lie within [\[C_k/T_k, min(1, D_k/T_k)\]].  No other points are
+    added: at [lambda_k = 1], for instance, condition 2 degenerates and
+    would wrongly accept the paper's Table 1.  Evaluated naively this is
+    the paper's O(N^3) test; {!decide} rewrites [beta] as the hinge
+    [max(K_i, A_i - B_i lambda)], keeps both condition sums as running
+    linear coefficients over an event sweep, and slices one globally
+    sorted candidate array per task — O(N^2 log N) per taskset, stopping
+    at the first candidate that satisfies a condition.
 
     Two typos in the published statement are corrected here (see
     DESIGN.md §2): the middle [beta] case prints [C_k/T_k] for [C_i/T_i],
@@ -27,52 +34,13 @@
     the paper's own Table 1 decision. *)
 
 val decide : fpga_area:int -> Model.Taskset.t -> Verdict.t
+(** Per task, the check reports the first candidate (ascending) at
+    which either condition holds, condition 1 taking precedence there;
+    when none does, the candidate whose condition-2 margin
+    [lhs - rhs] came closest (the first such on ties). *)
+
 val accepts : fpga_area:int -> Model.Taskset.t -> bool
 
 val decide_all : fpga_area:int -> Model.Taskset.t array -> Verdict.t array
 (** One verdict per taskset, in order; element [i] is byte-identical to
     [decide ~fpga_area tss.(i)]. *)
-
-val decide_cols : fpga_area:int -> Params.Cols.t -> Verdict.t
-(** The columnar kernel behind {!decide}: beta rewritten as the hinge
-    [max(K_i, A_i - B_i lambda)], both condition sums maintained as
-    running linear coefficients over an event sweep, and one globally
-    sorted candidate array sliced per task — O(N^2 log N) per taskset
-    against the reference's O(N^3), with identical verdict bytes. *)
-
-val decide_reference : fpga_area:int -> Model.Taskset.t -> Verdict.t
-(** The pre-columnar record-path implementation (one O(N) beta fold per
-    candidate), kept so the test suite can pin [decide ≡
-    decide_reference] byte-for-byte. *)
-
-val decide_exhaustive : fpga_area:int -> Model.Taskset.t -> Verdict.t
-(** {!decide_reference} without the early exit: every candidate of every
-    task is evaluated before deciding.  Verdicts are byte-identical to
-    {!decide}; only the [core.gn2.lambda_evals] counter differs, which
-    makes the pruning observable (and testable). *)
-
-val lambda_candidates : Model.Taskset.t -> k:int -> Rat.t list
-(** The candidate values tried for task [k] (0-based): exactly the
-    discontinuity points of [beta] named by the paper ([C_i/T_i] for all
-    [i], plus [C_i/D_i] when [D_i > T_i]) that lie within
-    [\[C_k/T_k, min(1, D_k/T_k)\]], deduplicated and sorted.  No other
-    points are added: at [lambda_k = 1], for instance, condition 2
-    degenerates and would wrongly accept the paper's Table 1. *)
-
-val beta_lambda : Model.Taskset.t -> k:int -> i:int -> lambda:Rat.t -> Rat.t
-(** [beta^lambda_k(i)]; [i = k] is allowed (the Theorem-3 sums range over
-    all tasks). *)
-
-type lambda_eval = {
-  lambda : Rat.t;
-  lambda_k : Rat.t;
-  cond1_lhs : Rat.t;
-  cond1_rhs : Rat.t;
-  cond1 : bool;
-  cond2_lhs : Rat.t;
-  cond2_rhs : Rat.t;
-  cond2 : bool;
-}
-
-val evaluate_lambda : fpga_area:int -> Model.Taskset.t -> k:int -> lambda:Rat.t -> lambda_eval
-(** Both Theorem-3 conditions for one candidate, with exact sides. *)

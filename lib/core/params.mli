@@ -1,46 +1,24 @@
-(** Exact-rational views of task parameters, shared by all tests. *)
+(** Exact-rational views of task parameters, shared by all tests.
 
-type task_q = {
-  index : int;
-  area : int;  (** [A_i], integer columns *)
-  area_q : Rat.t;
-  c : Rat.t;  (** execution time [C_i] in time units *)
-  d : Rat.t;  (** relative deadline [D_i] *)
-  t : Rat.t;  (** period [T_i] *)
-}
-
-val of_taskset : Model.Taskset.t -> task_q array
-
-(** Columnar twin of [task_q array]: the same exact-rational views, one
-    array per parameter, with the per-task divisions ([C_i/T_i],
+    One array per parameter, with the per-task divisions ([C_i/T_i],
     [C_i/D_i]) and the area extrema computed once at construction
     instead of once per use.  Built from {!Model.Taskset.Columns}; the
-    allocation-light decide paths of {!Dp}/{!Gn1}/{!Gn2} run over this
-    and produce verdicts byte-identical to the record path. *)
-module Cols : sig
-  type t = {
-    n : int;
-    area : int array;  (** [A_i] *)
-    area_q : Rat.t array;
-    c : Rat.t array;  (** [C_i] in time units *)
-    d : Rat.t array;  (** [D_i] *)
-    t : Rat.t array;  (** [T_i] *)
-    u : Rat.t array;  (** [C_i / T_i] *)
-    dens : Rat.t array;  (** [C_i / D_i] *)
-    amax : int;
-    amin : int;
-  }
+    decide kernels of {!Dp}/{!Gn1}/{!Gn2} run over this view. *)
 
-  val of_columns : Model.Taskset.Columns.t -> t
-  val of_taskset : Model.Taskset.t -> t
+type t = {
+  n : int;
+  area : int array;  (** [A_i] *)
+  area_q : Rat.t array;
+  c : Rat.t array;  (** [C_i] in time units *)
+  d : Rat.t array;  (** [D_i] *)
+  t : Rat.t array;  (** [T_i] *)
+  u : Rat.t array;  (** [C_i / T_i] *)
+  dens : Rat.t array;  (** [C_i / D_i] *)
+  amax : int;
+  amin : int;
+}
 
-  val total_us : t -> Rat.t
-  (** [US(Gamma)], summed in index order like the record path. *)
-end
-val time_utilization : task_q -> Rat.t
-val system_utilization : task_q -> Rat.t
-val density : task_q -> Rat.t
-val amax : task_q array -> int
-val amin : task_q array -> int
-val total_ut : task_q array -> Rat.t
-val total_us : task_q array -> Rat.t
+val of_taskset : Model.Taskset.t -> t
+
+val total_us : t -> Rat.t
+(** [US(Gamma) = sum_i A_i C_i / T_i]. *)

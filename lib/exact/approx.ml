@@ -9,20 +9,9 @@ let default_horizon_cap = Time.of_units 10_000
 let m_analyses = Obs.Counter.make "exact.approx.analyses"
 let m_points = Obs.Counter.make "exact.approx.points"
 
-let area_demand ts ~at =
-  let t = Time.ticks at in
-  List.fold_left
-    (fun acc (task : Model.Task.t) ->
-      let d = Time.ticks task.Model.Task.deadline and p = Time.ticks task.Model.Task.period in
-      if t < d then acc
-      else acc + ((((t - d) / p) + 1) * Time.ticks task.Model.Task.exec * task.Model.Task.area))
-    0 (Taskset.to_list ts)
-
-(* same integer recurrence over the columnar views: the point scans below
-   evaluate h at O(n + log horizon) points, so the per-point list
-   traversal (and its closure) is the dominant cost; test_columns.ml pins
-   this against {!area_demand} *)
-let area_demand_cols (cols : Taskset.Columns.t) ~at_ticks =
+(* h over the columnar views: the point scans below evaluate h at
+   O(n + log horizon) points, so this loop is their dominant cost *)
+let area_demand (cols : Taskset.Columns.t) ~at_ticks =
   let t = at_ticks in
   let acc = ref 0 in
   for i = 0 to cols.Taskset.Columns.n - 1 do
@@ -33,7 +22,7 @@ let area_demand_cols (cols : Taskset.Columns.t) ~at_ticks =
   !acc
 
 type outcome =
-  | Accepted of { horizon : Time.t; points : int; partial : bool }
+  | Accepted of { horizon : Time.t; points : int; partial : bool; peak : Rat.t }
   | Refuted_at of { at : Time.t; demand : int; supply : int }
   | Refuted_overload of { us : Rat.t }
 
@@ -118,22 +107,16 @@ let analyze ?(eps = default_eps) ?(horizon_cap = default_horizon_cap) ~fpga_area
     let points = check_points ~eps ~horizon ts in
     Obs.Counter.add m_points (List.length points);
     let cols = Taskset.Columns.of_taskset ts in
-    let rec scan = function
-      | [] -> Accepted { horizon = Time.of_ticks horizon; points = List.length points; partial }
+    let rec scan peak = function
+      | [] ->
+        Accepted { horizon = Time.of_ticks horizon; points = List.length points; partial; peak }
       | p :: rest ->
-        let demand = area_demand_cols cols ~at_ticks:p in
+        let demand = area_demand cols ~at_ticks:p in
         let supply = fpga_area * p in
         if demand > supply then Refuted_at { at = Time.of_ticks p; demand; supply }
-        else scan rest
+        else scan (Rat.max peak (Rat.of_ints demand p)) rest
     in
-    scan points
-
-(* max h(t)/t over the checked points, in columns: the verdict's
-   taskset-level lhs against rhs = A(H) *)
-let demand_ratio cols points =
-  List.fold_left
-    (fun acc p -> Rat.max acc (Rat.of_ints (area_demand_cols cols ~at_ticks:p) p))
-    Rat.zero points
+    scan Rat.zero points
 
 let verdict ~eps ~name ~fpga_area ts =
   if not (Taskset.fits ts ~fpga_area) then
@@ -158,16 +141,9 @@ let verdict ~eps ~name ~fpga_area ts =
             (Time.to_string at)
             (Rat.to_string (Rat.of_ints demand (Time.ticks at)))
             fpga_area )
-      | Accepted { horizon; points; partial } ->
-        let lhs =
-          if points = 0 then Rat.zero
-          else
-            demand_ratio
-              (Taskset.Columns.of_taskset ts)
-              (check_points ~eps ~horizon:(Time.ticks horizon) ts)
-        in
+      | Accepted { horizon; points; partial; peak } ->
         ( true,
-          lhs,
+          peak,
           if points = 0 then
             "US <= A(H) and the utilization-slack bound is zero: the necessary criterion holds \
              everywhere, no test points needed"

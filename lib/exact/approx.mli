@@ -34,18 +34,15 @@
 val default_eps : Rat.t
 (** [1/10] — the registered [approx\[1/10\]] instance's ε. *)
 
-val area_demand : Model.Taskset.t -> at:Model.Time.t -> int
-(** [h(at)] in column-ticks, exact integer arithmetic. *)
-
-val area_demand_cols : Model.Taskset.Columns.t -> at_ticks:int -> int
-(** {!area_demand} over the columnar views, used by the point scans;
-    [area_demand_cols (Columns.of_taskset ts) ~at_ticks:(Time.ticks at)
-    = area_demand ts ~at] (pinned by test_columns.ml). *)
+val area_demand : Model.Taskset.Columns.t -> at_ticks:int -> int
+(** [h(at_ticks)] in column-ticks, exact integer arithmetic. *)
 
 type outcome =
-  | Accepted of { horizon : Model.Time.t; points : int; partial : bool }
+  | Accepted of { horizon : Model.Time.t; points : int; partial : bool; peak : Rat.t }
       (** no violation at any test point; [partial] flags a horizon
-          truncated at the cap (the band then covers the prefix only) *)
+          truncated at the cap (the band then covers the prefix only);
+          [peak] is [max h(t)/t] in columns over the test points, zero
+          when there are none *)
   | Refuted_at of { at : Model.Time.t; demand : int; supply : int }
       (** [h(at) = demand > supply = A(H) * at] column-ticks: infeasible
           under any scheduler; the earliest violated test point *)

@@ -39,7 +39,7 @@ val hyperperiod : ?cap:Time.t -> t -> hyperperiod
 
 (** Structure-of-arrays view of a taskset: one int array per parameter,
     in tick units, plus the name table.  Built once per taskset, it is
-    what the allocation-light decide paths ({!Core.Params.Cols}) and the
+    what the allocation-light decide kernels ({!Core.Params}) and the
     canonical cache keying ({!Cache.Canonical}) iterate over instead of
     re-walking task records. *)
 module Columns : sig

@@ -1,9 +1,10 @@
-(* The columnar/batch contract of this repo's analyzer core:
-   Model.Taskset.Columns round-trips losslessly, and every columnar or
-   batch fast path prints byte-for-byte what the record-at-a-time
-   reference prints — same verdicts, same notes, same JSON — on random
-   tasksets (constrained and unconstrained deadlines, tasks wider than
-   the device, duplicated and permuted sets).
+(* The single-decide-path contract of this repo's analyzer core:
+   Model.Taskset.Columns round-trips losslessly, and every analyzer
+   kernel prints byte-for-byte what the test oracle (oracle.ml: the
+   theorem read directly over task records) prints — same verdicts,
+   same notes, same JSON — on random tasksets (implicit, constrained and
+   unconstrained deadlines, tasks longer than their deadline or wider
+   than the device, duplicated and permuted sets).
 
    Byte identity, not structural equality: the serve/batch front ends
    and the verdict cache both promise cached == fresh == batch at the
@@ -13,21 +14,28 @@ module Columns = Model.Taskset.Columns
 module Time = Model.Time
 
 (* deadlines both below and above the period, so GN2's d<=t / d>t
-   branches and GN1's carry-in clamping all get exercised *)
-let task_gen =
+   branches and GN1's carry-in clamping all get exercised; one taskset
+   in three keeps D = T throughout, the only domain where DP evaluates
+   its bound.  One task in five runs longer than its deadline (C > D):
+   GN1 fails it outright and GN2 finds no lambda candidate for it. *)
+let task_gen ~implicit =
   QCheck2.Gen.(
     let* t_units = int_range 2 10 in
-    let* d_units = int_range 1 12 in
+    let* d_units = if implicit then return t_units else int_range 1 12 in
+    let* overrun = int_range 0 4 >|= ( = ) 0 in
     let period = Time.of_units t_units in
     let deadline = Time.of_units d_units in
-    let c_cap = min (Time.ticks period) (Time.ticks deadline) in
-    let* c_ticks = int_range 1 c_cap in
+    let* c_ticks =
+      if overrun then int_range (Time.ticks deadline + 1) (Time.ticks deadline + Time.ticks period)
+      else int_range 1 (min (Time.ticks period) (Time.ticks deadline))
+    in
     let* area = int_range 1 12 in
     return (Model.Task.make ~exec:(Time.of_ticks c_ticks) ~deadline ~period ~area ()))
 
 let taskset_gen =
   QCheck2.Gen.(
-    let* tasks = list_size (int_range 1 7) task_gen in
+    let* implicit = int_range 0 2 >|= ( = ) 0 in
+    let* tasks = list_size (int_range 1 7) (task_gen ~implicit) in
     let* tasks = shuffle_l tasks in
     return (Model.Taskset.of_list tasks))
 
@@ -48,33 +56,68 @@ let prop_columns_roundtrip =
   qtest ~count:500 "Columns.to_taskset (of_taskset ts) = ts" taskset_gen (fun ts ->
       Model.Taskset.equal (Columns.to_taskset (Columns.of_taskset ts)) ts)
 
-(* --- columnar decide == record-path reference, byte for byte --- *)
+(* --- columnar decide kernel == record-path oracle, byte for byte --- *)
 
-let bytes_ident name decide reference =
+let bytes_ident name decide oracle =
   qtest ~count:400
     (Printf.sprintf "%s: columnar decide == reference bytes" name)
     case_gen
     (fun (ts, fpga_area) ->
-      String.equal (verdict_bytes (decide ~fpga_area ts)) (verdict_bytes (reference ~fpga_area ts)))
+      String.equal (verdict_bytes (decide ~fpga_area ts)) (verdict_bytes (oracle ~fpga_area ts)))
 
-let prop_dp_ident = bytes_ident "DP" Core.Dp.decide Core.Dp.decide_reference
-let prop_gn1_ident = bytes_ident "GN1" Core.Gn1.decide Core.Gn1.decide_reference
-let prop_gn2_ident = bytes_ident "GN2" Core.Gn2.decide Core.Gn2.decide_reference
+let prop_dp_ident = bytes_ident "DP" Core.Dp.decide (Oracle.Dp.decide ~plus_one:true)
 
-(* GN2's event sweep prunes lambda candidates; the exhaustive evaluator
-   visits every candidate.  Verdict bytes must not notice. *)
-let prop_gn2_pruning =
-  bytes_ident "GN2 pruned vs exhaustive" Core.Gn2.decide Core.Gn2.decide_exhaustive
+let prop_dp_original_ident =
+  bytes_ident "DP-original" Core.Dp.decide_original (Oracle.Dp.decide ~plus_one:false)
 
-(* --- approx: columnar demand scan == record scan --- *)
+let prop_gn1_ident = bytes_ident "GN1" Core.Gn1.decide (Oracle.Gn1.decide ~lemma3_form:true)
+
+let prop_gn1_printed_ident =
+  bytes_ident "GN1-printed" Core.Gn1.decide_printed (Oracle.Gn1.decide ~lemma3_form:false)
+
+(* GN2's event sweep stops at the first candidate that satisfies a
+   condition; the oracle evaluates every candidate of every task from
+   Theorem 3 before choosing.  Verdict bytes must not notice. *)
+let prop_gn2_ident = bytes_ident "GN2 pruned vs exhaustive" Core.Gn2.decide Oracle.Gn2.decide
+
+(* the generator reaches every branch the properties above pin: a
+   regression in it would otherwise leave a path silently unchecked *)
+let generator_coverage () =
+  let rand = Random.State.make [| 13 |] in
+  let notes = Hashtbl.create 16 in
+  for _ = 1 to 400 do
+    let ts, fpga_area = QCheck2.Gen.generate1 ~rand case_gen in
+    List.iter
+      (fun decide ->
+        let v = decide ~fpga_area ts in
+        if Core.Verdict.accepted v then
+          Hashtbl.replace notes (v.Core.Verdict.test_name ^ " ACCEPT") ();
+        List.iter
+          (fun (c : Core.Verdict.task_check) -> Hashtbl.replace notes c.note ())
+          v.Core.Verdict.checks)
+      [ Core.Dp.decide; Core.Gn1.decide; Core.Gn2.decide ]
+  done;
+  List.iter
+    (fun note -> Alcotest.(check bool) note true (Hashtbl.mem notes note))
+    [
+      "DP ACCEPT";
+      "GN1 ACCEPT";
+      "GN2 ACCEPT";
+      "DP requires implicit deadlines (D = T)";
+      "a task is wider than the FPGA";
+      "C_k > D_k";
+      "no lambda candidate in range";
+    ]
+
+(* --- approx: columnar demand scan == the oracle's record scan --- *)
 
 let prop_approx_demand =
-  qtest ~count:500 "approx: area_demand_cols == area_demand"
+  qtest ~count:500 "approx: area_demand == record-path area_demand"
     QCheck2.Gen.(pair taskset_gen (int_range 0 30))
     (fun (ts, at_units) ->
       let at = Time.of_units at_units in
-      Exact.Approx.area_demand_cols (Columns.of_taskset ts) ~at_ticks:(Time.ticks at)
-      = Exact.Approx.area_demand ts ~at)
+      Exact.Approx.area_demand (Columns.of_taskset ts) ~at_ticks:(Time.ticks at)
+      = Oracle.area_demand ts ~at)
 
 (* --- Analyzer.decide_all == mapping decide --- *)
 
@@ -116,6 +159,14 @@ let () =
     [
       ("round-trip", [ prop_columns_roundtrip ]);
       ( "columnar == record bytes",
-        [ prop_dp_ident; prop_gn1_ident; prop_gn2_ident; prop_gn2_pruning; prop_approx_demand ] );
+        [
+          prop_dp_ident;
+          prop_dp_original_ident;
+          prop_gn1_ident;
+          prop_gn1_printed_ident;
+          prop_gn2_ident;
+          Alcotest.test_case "generator reaches every pinned branch" `Quick generator_coverage;
+          prop_approx_demand;
+        ] );
       ("batch == single bytes", [ prop_decide_all_ident; prop_cache_batch_ident ]);
     ]

@@ -214,6 +214,24 @@ let oracle_rejects_infeasible () =
     Alcotest.(check int) "supply column-ticks" (4 * 2 * Time.scale) supply
   | _ -> Alcotest.fail "expected an area-demand refutation"
 
+(* an approx ACCEPT that had to scan test points: every check carries
+   the taskset-level peak h(t)/t over those points (here at t=2:
+   a's job, 3 columns x 1 unit, over 2 units) against rhs = A(H) *)
+let approx_accept_with_points () =
+  let t = ts [ ("a", "1", "2", "5", 3); ("b", "2", "4", "6", 2); ("c", "1.5", "3", "7", 1) ] in
+  let v = Exact.Approx.verdict ~eps:Exact.Approx.default_eps ~name:"approx[1/10]" ~fpga_area:3 t in
+  check_bool "accepted" true (Core.Verdict.accepted v);
+  List.iter
+    (fun (c : Core.Verdict.task_check) ->
+      Core_helpers.check_rat "lhs = max h(t)/t" (Rat.of_ints 3 2) c.lhs;
+      Core_helpers.check_rat "rhs = A(H)" (Rat.of_int 3) c.rhs;
+      Alcotest.(check string)
+        "note"
+        "no area-demand violation at 4 test points up to t=2.626; eps = 1/10 certifies h(t) <= \
+         (1+eps) A(H) t below the horizon"
+        c.note)
+    v.checks
+
 (* the oracle's conclusion must agree with the primitives it is built
    from, checked independently per conclusion *)
 let prop_oracle_matches_exhaustive =
@@ -352,6 +370,7 @@ let () =
           Alcotest.test_case "gap regression (sufficient tests reject)" `Quick
             oracle_gap_regression;
           Alcotest.test_case "rejects infeasible sets" `Quick oracle_rejects_infeasible;
+          Alcotest.test_case "approx accept pins peak h(t)/t" `Quick approx_accept_with_points;
           Alcotest.test_case "cached = fresh under permutation" `Quick
             exact_cached_equals_fresh_permuted;
           Alcotest.test_case "deterministic for any jobs" `Quick oracle_jobs_deterministic;

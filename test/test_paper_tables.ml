@@ -33,14 +33,14 @@ let decisions () =
    the rounded 4.85), so the test fails. *)
 let dp_table3_numbers () =
   check_rat "US(table3)" (Rat.of_ints 247 50) (Model.Taskset.system_utilization table3);
-  check_rat "DP bound k=2" (Rat.of_ints 34 7) (Core.Dp.bound ~fpga_area table3 ~k:1);
+  check_rat "DP bound k=2" (Rat.of_ints 34 7) (Oracle.Dp.bound ~fpga_area table3 ~k:1);
   check_bool "US > bound" true (Rat.compare (Model.Taskset.system_utilization table3) (Rat.of_ints 34 7) > 0)
 
 (* Section 6 worked example, GN1 on Table 3 at k=2: N_1 = 1,
    beta_1 = 4.1/5, LHS = 7 * min(0.82, 5/7) = 5 > 20/7 = bound. *)
 let gn1_table3_numbers () =
-  Alcotest.(check string) "N_1" "1" (Bignum.to_string (Core.Gn1.n_jobs table3 ~k:1 ~i:0));
-  check_rat "beta_1" (Rat.of_ints 41 50) (Core.Gn1.beta table3 ~k:1 ~i:0);
+  Alcotest.(check string) "N_1" "1" (Bignum.to_string (Oracle.Gn1.n_jobs table3 ~k:1 ~i:0));
+  check_rat "beta_1" (Rat.of_ints 41 50) (Oracle.Gn1.beta table3 ~k:1 ~i:0);
   let v = Core.Gn1.decide ~fpga_area table3 in
   let k2 = List.nth v.Core.Verdict.checks 1 in
   check_rat "lhs k=2" (Rat.of_int 5) k2.Core.Verdict.lhs;
@@ -52,18 +52,18 @@ let gn1_table3_numbers () =
    (the paper prints 4.97 only because it rounds 2/7 to 0.29 first). *)
 let gn2_table3_numbers () =
   let lambda = Rat.of_ints 21 50 in
-  check_rat "beta(1) k=1" lambda (Core.Gn2.beta_lambda table3 ~k:0 ~i:0 ~lambda);
-  check_rat "beta(2) k=1" (Rat.of_ints 2 7) (Core.Gn2.beta_lambda table3 ~k:0 ~i:1 ~lambda);
-  let ev_k1 = Core.Gn2.evaluate_lambda ~fpga_area table3 ~k:0 ~lambda in
-  check_rat "cond2 rhs k=1" (Rat.of_ints 263 50) ev_k1.Core.Gn2.cond2_rhs;
-  check_rat "cond2 lhs k=1" (Rat.of_ints 247 50) ev_k1.Core.Gn2.cond2_lhs;
-  check_bool "cond2 holds k=1" true ev_k1.Core.Gn2.cond2;
-  let ev_k2 = Core.Gn2.evaluate_lambda ~fpga_area table3 ~k:1 ~lambda in
-  check_bool "cond2 holds k=2" true ev_k2.Core.Gn2.cond2
+  check_rat "beta(1) k=1" lambda (Oracle.Gn2.beta_lambda table3 ~k:0 ~i:0 ~lambda);
+  check_rat "beta(2) k=1" (Rat.of_ints 2 7) (Oracle.Gn2.beta_lambda table3 ~k:0 ~i:1 ~lambda);
+  let ev_k1 = Oracle.Gn2.evaluate_lambda ~fpga_area table3 ~k:0 ~lambda in
+  check_rat "cond2 rhs k=1" (Rat.of_ints 263 50) ev_k1.Oracle.Gn2.cond2_rhs;
+  check_rat "cond2 lhs k=1" (Rat.of_ints 247 50) ev_k1.Oracle.Gn2.cond2_lhs;
+  check_bool "cond2 holds k=1" true ev_k1.Oracle.Gn2.cond2;
+  let ev_k2 = Oracle.Gn2.evaluate_lambda ~fpga_area table3 ~k:1 ~lambda in
+  check_bool "cond2 holds k=2" true ev_k2.Oracle.Gn2.cond2
 
 (* The candidate enumeration includes the lambda the paper uses. *)
 let gn2_candidates () =
-  let cands = Core.Gn2.lambda_candidates table3 ~k:1 in
+  let cands = Oracle.Gn2.lambda_candidates table3 ~k:1 in
   check_bool "0.42 is a candidate" true
     (List.exists (fun l -> Rat.equal l (Rat.of_ints 21 50)) cands);
   List.iter
@@ -78,11 +78,11 @@ let gn2_candidates () =
 let table1_equality_points () =
   let us = Model.Taskset.system_utilization table1 in
   check_rat "US(table1)" (Rat.of_ints 69 25) us;
-  check_rat "DP bound k=2" (Rat.of_ints 69 25) (Core.Dp.bound ~fpga_area table1 ~k:1);
-  let ev = Core.Gn2.evaluate_lambda ~fpga_area table1 ~k:1 ~lambda:(Rat.of_ints 19 100) in
-  check_rat "GN2 cond2 lhs" (Rat.of_ints 69 25) ev.Core.Gn2.cond2_lhs;
-  check_rat "GN2 cond2 rhs" (Rat.of_ints 69 25) ev.Core.Gn2.cond2_rhs;
-  check_bool "strict condition fails" false ev.Core.Gn2.cond2
+  check_rat "DP bound k=2" (Rat.of_ints 69 25) (Oracle.Dp.bound ~fpga_area table1 ~k:1);
+  let ev = Oracle.Gn2.evaluate_lambda ~fpga_area table1 ~k:1 ~lambda:(Rat.of_ints 19 100) in
+  check_rat "GN2 cond2 lhs" (Rat.of_ints 69 25) ev.Oracle.Gn2.cond2_lhs;
+  check_rat "GN2 cond2 rhs" (Rat.of_ints 69 25) ev.Oracle.Gn2.cond2_rhs;
+  check_bool "strict condition fails" false ev.Oracle.Gn2.cond2
 
 (* The printed Theorem-2 variant is more pessimistic but must agree on the
    three tables except where the tie matters. *)

@@ -8,7 +8,11 @@
    GN1 therefore compares strictly (DESIGN.md section 2).  Each taskset
    below is such a boundary case: the non-strict form would accept it,
    the strict form must reject it, and the simulator must observe the
-   miss. *)
+   miss.
+
+   DP's bound is derived for implicit deadlines only; with D < T it
+   accepted sets the simulator refutes, so DP now rejects every taskset
+   with some D <> T (examples/tasksets/dp_constrained_pair.csv). *)
 
 module Engine = Sim.Engine
 
@@ -63,6 +67,26 @@ let others_reject_too () =
       check_bool (name ^ ": printed GN1 rejects") false (Core.Gn1.accepts_printed ~fpga_area t))
     counterexamples
 
+(* US = 4/5 meets the DP bound 6/5 at A(H) = 2, yet both full-width
+   jobs are due at t=3 with only 3 units to run 4 units of work *)
+let dp_constrained_pair () =
+  let t = ts [ ("t1", "2", "3", "10", 2); ("t2", "2", "3", "10", 2) ] in
+  let fpga_area = 2 in
+  List.iter
+    (fun (v : Core.Verdict.t) ->
+      check_bool (v.test_name ^ " rejects") false (Core.Verdict.accepted v);
+      List.iter
+        (fun (c : Core.Verdict.task_check) ->
+          Alcotest.(check string) "domain note" "DP requires implicit deadlines (D = T)" c.note)
+        v.checks)
+    [ Core.Dp.decide ~fpga_area t; Core.Dp.decide_original ~fpga_area t ];
+  List.iter
+    (fun policy ->
+      let cfg = Engine.default_config ~fpga_area ~policy in
+      let r = Engine.run { cfg with Engine.horizon = hyperperiod_exn t } t in
+      check_bool "simulator observes the miss" true (r.Engine.outcome <> Engine.No_miss))
+    [ Sim.Policy.edf_fkf; Sim.Policy.edf_nf ]
+
 let () =
   Alcotest.run "regressions"
     [
@@ -71,4 +95,5 @@ let () =
           Alcotest.test_case "strict GN1 rejects boundary cases" `Quick gn1_boundary_cases;
           Alcotest.test_case "DP and GN2 reject them too" `Quick others_reject_too;
         ] );
+      ("dp domain", [ Alcotest.test_case "constrained pair rejected" `Quick dp_constrained_pair ]);
     ]
