@@ -10,9 +10,10 @@
      audit     lint + cross-analyzer soundness audit against simulation
      check-src typedtree static analysis of the repo's own sources (.cmt files)
      serve     analysis service: line-oriented JSON over stdio, socket and/or TCP
-     bench-serve  drive a serve loop with concurrent clients; latency/throughput
-     bench-core   analyzer cost matrix vs the committed baseline (CI perf gate)
+     admit     crash-safe online admission daemon (chaos-admit tortures it)
      batch     evaluate a file of service requests (in-process or --connect)
+     bench     benchmark sections (core, serve, admit, figures, ablations,
+               parallel), rows in one JSON-lines results file
 
    Long-running subcommands accept --metrics[=FILE] to dump a runtime
    metrics snapshot (JSON lines); metrics-diff compares two of them. *)
@@ -50,10 +51,20 @@ let area_arg =
 
 let seed_arg = Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"PRNG seed.")
 
-let horizon_arg =
+let horizon_arg default =
   Arg.(
-    value & opt int 1000
+    value & opt int default
     & info [ "horizon" ] ~docv:"UNITS" ~doc:"Simulation horizon in time units.")
+
+let samples_arg =
+  Arg.(value & opt int 300 & info [ "samples" ] ~docv:"N" ~doc:"Tasksets per utilization point.")
+
+let require_positive flag n k =
+  if n < 1 then begin
+    Printf.eprintf "error: invalid %s %d: expected a positive count\n" flag n;
+    2
+  end
+  else k ()
 
 let jobs_arg =
   Arg.(
@@ -116,9 +127,10 @@ let with_metrics metrics f =
     in
     Fun.protect ~finally:emit f
 
-(* progress printer shared by the parallel-capable subcommands: called
-   from worker domains (already serialized and monotonic, see
-   Experiment.Sweep.run), so each update must land as one write *)
+(* progress printer of the figure sweeps (redf sweep, redf bench
+   figures): called from worker domains (already serialized and
+   monotonic, see Experiment.Sweep.run), so each update must land as
+   one write *)
 let progress_printer () =
   let last_pct = ref (-1) in
   fun done_ total ->
@@ -416,6 +428,7 @@ let analyze_cmd =
 
 let simulate_cmd =
   let run path fpga_area horizon policy_name gantt contiguous metrics =
+    require_positive "--horizon" horizon @@ fun () ->
     with_metrics metrics @@ fun () ->
     match load_taskset path with
     | Error msg ->
@@ -473,7 +486,7 @@ let simulate_cmd =
   in
   let term =
     Term.(
-      const run $ taskset_arg $ area_arg $ horizon_arg $ policy_arg $ gantt_arg $ contiguous_arg
+      const run $ taskset_arg $ area_arg $ horizon_arg 1000 $ policy_arg $ gantt_arg $ contiguous_arg
       $ metrics_arg)
   in
   Cmd.v (Cmd.info "simulate" ~doc:"Simulate EDF-NF or EDF-FkF scheduling of a taskset") term
@@ -525,9 +538,21 @@ let generate_cmd =
 
 (* --- sweep --- *)
 
+(* one figure's sweep, progress on stderr: redf sweep and redf bench
+   figures share it *)
+let run_sweep ~samples ~seed ~horizon ~jobs figure =
+  let cfg =
+    Experiment.Figures.config ~samples ~seed ~sim_horizon:(Model.Time.of_units horizon) figure
+  in
+  let result = Experiment.Sweep.run ~progress:(progress_printer ()) ~jobs cfg in
+  clear_progress ();
+  result
+
 let sweep_cmd =
   let run figure_name samples seed horizon csv jobs metrics =
     with_jobs jobs @@ fun ~jobs ->
+    require_positive "--samples" samples @@ fun () ->
+    require_positive "--horizon" horizon @@ fun () ->
     with_metrics metrics @@ fun () ->
     match
       List.find_opt (fun f -> Experiment.Figures.id f = figure_name) Experiment.Figures.all
@@ -536,12 +561,7 @@ let sweep_cmd =
       Printf.eprintf "unknown figure %S (use fig3a, fig3b, fig4a or fig4b)\n" figure_name;
       1
     | Some figure ->
-      let cfg =
-        Experiment.Figures.config ~samples ~seed
-          ~sim_horizon:(Model.Time.of_units horizon) figure
-      in
-      let result = Experiment.Sweep.run ~progress:(progress_printer ()) ~jobs cfg in
-      clear_progress ();
+      let result = run_sweep ~samples ~seed ~horizon ~jobs figure in
       print_endline (Experiment.Figures.caption figure);
       if csv then print_string (Experiment.Sweep.to_csv result)
       else begin
@@ -557,13 +577,10 @@ let sweep_cmd =
       & pos 0 (some string) None
       & info [] ~docv:"FIGURE" ~doc:"One of fig3a, fig3b, fig4a, fig4b.")
   in
-  let samples_arg =
-    Arg.(value & opt int 300 & info [ "samples" ] ~docv:"N" ~doc:"Tasksets per utilization point.")
-  in
   let csv_arg = Arg.(value & flag & info [ "csv" ] ~doc:"Emit CSV instead of a table.") in
   let term =
     Term.(
-      const run $ figure_arg $ samples_arg $ seed_arg $ horizon_arg $ csv_arg $ jobs_arg
+      const run $ figure_arg $ samples_arg $ seed_arg $ horizon_arg 1000 $ csv_arg $ jobs_arg
       $ metrics_arg)
   in
   Cmd.v (Cmd.info "sweep" ~doc:"Regenerate one of the paper's figures") term
@@ -799,13 +816,6 @@ let require_cache_size cache_size k =
   end
   else k ()
 
-let require_positive flag n k =
-  if n < 1 then begin
-    Printf.eprintf "error: invalid %s %d: expected a positive count\n" flag n;
-    2
-  end
-  else k ()
-
 let cache_shards_arg =
   Arg.(
     value & opt int 8
@@ -963,68 +973,6 @@ let serve_cmd =
   in
   Cmd.v info term
 
-let bench_serve_cmd =
-  let run clients requests cache_size shards tcp no_check out jobs metrics =
-    with_jobs jobs @@ fun ~jobs ->
-    require_cache_size cache_size @@ fun () ->
-    require_positive "--cache-shards" shards @@ fun () ->
-    require_positive "--clients" clients @@ fun () ->
-    require_positive "--requests" requests @@ fun () ->
-    with_metrics metrics @@ fun () ->
-    Bench_serve.run ~clients ~requests ~cache_size ~shards ~jobs ~tcp ~check:(not no_check) ~out
-  in
-  let clients_arg =
-    Arg.(
-      value & opt int 8
-      & info [ "clients" ] ~docv:"K" ~doc:"Concurrent client connections (one domain each).")
-  in
-  let requests_arg =
-    Arg.(
-      value & opt int 200
-      & info [ "requests" ] ~docv:"M" ~doc:"Synchronous requests per client.")
-  in
-  let tcp_arg =
-    Arg.(
-      value & flag
-      & info [ "tcp" ]
-          ~doc:"Benchmark over TCP on 127.0.0.1 (ephemeral port) instead of a Unix-domain socket.")
-  in
-  let no_check_arg =
-    Arg.(
-      value & flag
-      & info [ "no-check" ]
-          ~doc:
-            "Skip the determinism check (per-client byte-equality against a serial $(b,-j 1) \
-             in-process evaluation).")
-  in
-  let out_arg =
-    Arg.(
-      value
-      & opt string "results/BENCH_serve.json"
-      & info [ "out" ] ~docv:"FILE" ~doc:"Where to write the JSON result line.")
-  in
-  let term =
-    Term.(
-      const run $ clients_arg $ requests_arg $ cache_size_arg $ cache_shards_arg $ tcp_arg
-      $ no_check_arg $ out_arg $ jobs_arg $ metrics_arg)
-  in
-  let info =
-    Cmd.info "bench-serve"
-      ~doc:"Benchmark the analysis service under concurrent clients"
-      ~man:
-        [
-          `S Manpage.s_description;
-          `P
-            "Starts an in-process $(b,redf serve) event loop, drives it with $(b,--clients) \
-             concurrent connections each issuing $(b,--requests) synchronous requests, and \
-             reports client-side p50/p99 latency and request throughput as one JSON line \
-             (stdout and $(b,--out)). Unless $(b,--no-check), every client's response stream is \
-             compared byte-for-byte against a serial in-process evaluation of the same request \
-             lines — concurrency must change wall-clock only, never bytes; a mismatch exits 1.";
-        ]
-  in
-  Cmd.v info term
-
 let batch_cmd =
   let run file connect retries backoff_ms hold cache_size jobs metrics =
     with_jobs jobs @@ fun ~jobs ->
@@ -1143,7 +1091,7 @@ let batch_cmd =
   in
   Cmd.v info term
 
-(* --- admit / chaos-admit / bench-admit --- *)
+(* --- admit / chaos-admit --- *)
 
 let admit_analyzer_arg =
   Arg.(
@@ -1404,12 +1352,130 @@ let chaos_admit_cmd =
   in
   Cmd.v info term
 
+(* --- bench --- *)
+
+let bench_out_arg =
+  Arg.(
+    value
+    & opt string Bench.Env.default_out
+    & info [ "out" ] ~docv:"FILE"
+        ~doc:
+          "Results file, one JSON line per row, tagged by section. This section's lines are \
+           replaced; every other line is kept byte-for-byte.")
+
+(* a results file that does not parse is a usage error before the
+   measurement, not after it *)
+let with_out out k =
+  match Bench.Env.read out with
+  | Error msg ->
+    Printf.eprintf "error: %s\n" msg;
+    2
+  | Ok _ -> k ()
+
+let bench_core_cmd =
+  let run budget_ms out compare tolerance =
+    let go () = with_out out @@ fun () -> Bench.Core_bench.run ~budget_ms ~out ~compare ~tolerance in
+    match budget_ms with Some ms -> require_positive "--budget-ms" ms go | None -> go ()
+  in
+  let budget_arg =
+    Arg.(
+      value
+      & opt (some int) None
+      & info [ "budget-ms" ] ~docv:"MS"
+          ~doc:
+            "Wall-clock budget for the whole matrix, a positive count. Rows cut short or \
+             skipped when it expires are flagged $(b,truncated) and excluded from comparison.")
+  in
+  let compare_arg =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "compare" ] ~docv:"FILE"
+          ~doc:
+            "Results file whose $(b,core) rows are the baseline; read before $(b,--out) is \
+             written, so both may name the same file.")
+  in
+  let tolerance_arg =
+    Arg.(
+      value & opt string "1.5x"
+      & info [ "tolerance" ] ~docv:"RATIO"
+          ~doc:"Allowed current/baseline slowdown per row, e.g. $(b,1.5x).")
+  in
+  let term = Term.(const run $ budget_arg $ bench_out_arg $ compare_arg $ tolerance_arg) in
+  let info =
+    Cmd.info "core"
+      ~doc:"Measure analyzer and substrate cost; optionally gate on a committed baseline"
+      ~man:
+        [
+          `S Manpage.s_description;
+          `P
+            "Times every analyzer (DP, GN1, GN2, approx, the exact oracle) on seed-fixed \
+             workloads across taskset sizes, in single-decide and batch ($(b,decide_all)) \
+             modes, and the simulator, big-number, generator and disabled-metrics rows under \
+             them. With $(b,--compare), a row slower than tolerance times its baseline (and by \
+             a small absolute floor) is re-measured once; if still slow, or if no row could be \
+             compared, the command exits 1 — the CI perf gate.";
+        ]
+  in
+  Cmd.v info term
+
+let bench_serve_cmd =
+  let run clients requests cache_size shards tcp no_check out jobs metrics =
+    with_jobs jobs @@ fun ~jobs ->
+    require_cache_size cache_size @@ fun () ->
+    require_positive "--cache-shards" shards @@ fun () ->
+    require_positive "--clients" clients @@ fun () ->
+    require_positive "--requests" requests @@ fun () ->
+    with_out out @@ fun () ->
+    with_metrics metrics @@ fun () ->
+    Bench.Serve_bench.run ~clients ~requests ~cache_size ~shards ~jobs ~tcp ~check:(not no_check)
+      ~out
+  in
+  let clients_arg =
+    Arg.(
+      value & opt int 8
+      & info [ "clients" ] ~docv:"K" ~doc:"Concurrent client connections (one domain each).")
+  in
+  let requests_arg =
+    Arg.(
+      value & opt int 200
+      & info [ "requests" ] ~docv:"M" ~doc:"Synchronous requests per client.")
+  in
+  let tcp_arg =
+    Arg.(
+      value & flag
+      & info [ "tcp" ]
+          ~doc:"Benchmark over TCP on 127.0.0.1 (ephemeral port) instead of a Unix-domain socket.")
+  in
+  let no_check_arg =
+    Arg.(
+      value & flag
+      & info [ "no-check" ]
+          ~doc:
+            "Skip the determinism check (per-client byte-equality against a serial $(b,-j 1) \
+             in-process evaluation).")
+  in
+  let term =
+    Term.(
+      const run $ clients_arg $ requests_arg $ cache_size_arg $ cache_shards_arg $ tcp_arg
+      $ no_check_arg $ bench_out_arg $ jobs_arg $ metrics_arg)
+  in
+  let info =
+    Cmd.info "serve"
+      ~doc:
+        "Benchmark the analysis service under concurrent clients: p50/p99 latency and \
+         throughput, and (unless $(b,--no-check)) exit 1 unless every client's responses equal \
+         a serial in-process evaluation"
+  in
+  Cmd.v info term
+
 let bench_admit_cmd =
   let run mutations resident analyzer fpga_area out =
     require_positive "--mutations" mutations @@ fun () ->
     require_positive "--resident" resident @@ fun () ->
     require_positive "--fpga-area" fpga_area @@ fun () ->
-    Bench_admit.run ~mutations ~resident ~analyzer_name:analyzer ~fpga_area ~out
+    with_out out @@ fun () ->
+    Bench.Admit_bench.run ~mutations ~resident ~analyzer_name:analyzer ~fpga_area ~out
   in
   let mutations_arg =
     Arg.(
@@ -1421,87 +1487,87 @@ let bench_admit_cmd =
       value & opt int 50
       & info [ "resident" ] ~docv:"N" ~doc:"Resident taskset size the mutations run against.")
   in
-  let out_arg =
-    Arg.(
-      value
-      & opt string "results/BENCH_serve.json"
-      & info [ "out" ] ~docv:"FILE"
-          ~doc:"Results file; the $(b,admit) section is rewritten, other sections preserved.")
-  in
   let term =
     Term.(
-      const run $ mutations_arg $ resident_arg $ admit_analyzer_arg $ admit_area_arg $ out_arg)
+      const run $ mutations_arg $ resident_arg $ admit_analyzer_arg $ admit_area_arg
+      $ bench_out_arg)
   in
   let info =
-    Cmd.info "bench-admit"
-      ~doc:"Benchmark the admission daemon's mutation, what-if and recovery paths"
-      ~man:
-        [
-          `S Manpage.s_description;
-          `P
-            "Measures, against an in-process daemon on a throwaway state directory: mutation \
-             latency and throughput through the full path (parse, incremental canonical key, \
-             verdict, journal append, fsync); the warm $(b,what-if) path (verdict-cache hit via \
-             the incremental key); the from-scratch analyzer baseline on the same taskset; and \
-             cold recovery time over journals of 10^3 and 10^5 records. Writes the $(b,admit) \
-             section of the results file next to bench-serve's $(b,serve) section.";
-        ]
+    Cmd.info "admit"
+      ~doc:
+        "Benchmark the admission daemon: fsync'd mutations, warm what-if vs from-scratch, and \
+         recovery over journals of 10^3 and 10^5 records"
   in
   Cmd.v info term
 
-let bench_core_cmd =
-  let run budget_ms out compare tolerance =
-    Bench_core.run ~budget_ms ~out ~compare ~tolerance
+let bench_figures_cmd =
+  let run samples horizon seed jobs =
+    with_jobs jobs @@ fun ~jobs ->
+    require_positive "--samples" samples @@ fun () ->
+    require_positive "--horizon" horizon @@ fun () ->
+    Bench.Figures_bench.run ~samples ~horizon ~seed ~jobs
+      ~sweep:(run_sweep ~samples ~seed ~horizon ~jobs);
+    0
   in
-  let budget_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "budget-ms" ] ~docv:"MS"
-          ~doc:
-            "Wall-clock budget for the whole matrix. Rows cut short or skipped when it expires \
-             are flagged $(b,truncated) in the JSON and excluded from comparison.")
-  in
-  let out_arg =
-    Arg.(
-      value
-      & opt string Bench_core.default_out
-      & info [ "out" ] ~docv:"FILE" ~doc:"Where to write the schema-v2 bench-core document.")
-  in
-  let compare_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "compare" ] ~docv:"FILE"
-          ~doc:
-            "Baseline bench-core document (schema v1 or v2) to diff against; read before \
-             $(b,--out) is written, so both may name the same committed file.")
-  in
-  let tolerance_arg =
-    Arg.(
-      value & opt string "1.5x"
-      & info [ "tolerance" ] ~docv:"RATIO"
-          ~doc:"Allowed current/baseline slowdown per row, e.g. $(b,1.5x).")
-  in
-  let term = Term.(const run $ budget_arg $ out_arg $ compare_arg $ tolerance_arg) in
+  let term = Term.(const run $ samples_arg $ horizon_arg 500 $ seed_arg $ jobs_arg) in
   let info =
-    Cmd.info "bench-core"
-      ~doc:"Measure analyzer cost per decide; optionally gate on a committed baseline"
+    Cmd.info "figures"
+      ~doc:
+        "Write Figures 3-4 to results/figX.csv (the series $(b,redf sweep FIG --csv) prints), \
+         check the paper's claims on them, and sweep acceptance vs task count"
+  in
+  Cmd.v info term
+
+let bench_ablations_cmd =
+  let run samples horizon seed =
+    require_positive "--samples" samples @@ fun () ->
+    require_positive "--horizon" horizon @@ fun () ->
+    Bench.Ablations.run ~samples ~horizon ~seed;
+    0
+  in
+  let term = Term.(const run $ samples_arg $ horizon_arg 500 $ seed_arg) in
+  Cmd.v
+    (Cmd.info "ablations"
+       ~doc:
+         "Fresh Tables 1-3 incomparability witnesses and the ablation experiments (Lemmas \
+          1-2, placement, partitioning, overhead, EDF-US, 2-D, release offsets)")
+    term
+
+let bench_parallel_cmd =
+  let run samples seed =
+    require_positive "--samples" samples @@ fun () ->
+    with_out Bench.Env.default_out @@ fun () -> Bench.Parallel_bench.run ~samples ~seed
+  in
+  let term = Term.(const run $ samples_arg $ seed_arg) in
+  Cmd.v
+    (Cmd.info "parallel"
+       ~doc:
+         "Time the sweep, audit and exhaustive-search paths at several job counts; exit 1 \
+          unless every output is byte-identical across them")
+    term
+
+let bench_cmd =
+  let info =
+    Cmd.info "bench" ~doc:"Benchmark sections; rows go to one JSON-lines results file"
       ~man:
         [
           `S Manpage.s_description;
           `P
-            "Times every analyzer (DP, GN1, GN2, approx, the exact oracle) on seed-fixed \
-             workloads across taskset sizes, in single-decide and batch ($(b,decide_all)) \
-             modes, and writes results/BENCH_core.json. With $(b,--compare), rows are matched \
-             to the baseline by (analyzer, n, mode): a row slower than tolerance times its \
-             baseline (and by a small absolute floor, to ignore micro-row jitter) is a \
-             regression and the command exits 1 — the CI perf leg. A tripping row is \
-             re-measured once and the faster run kept, so a one-off scheduling hiccup on a \
-             shared runner does not fail the gate.";
+            "Each section takes only the flags it reads. Sections that record rows ($(b,core), \
+             $(b,serve), $(b,admit), $(b,parallel)) rewrite their own lines of results/BENCH.jsonl \
+             (or $(b,--out)), each line tagged $(b,\"bench\":\"SECTION\"); $(b,figures) \
+             writes the results/figX.csv plot series.";
         ]
   in
-  Cmd.v info term
+  Cmd.group info
+    [
+      bench_core_cmd;
+      bench_serve_cmd;
+      bench_admit_cmd;
+      bench_figures_cmd;
+      bench_ablations_cmd;
+      bench_parallel_cmd;
+    ]
 
 let main_cmd =
   let doc = "schedulability analysis of EDF scheduling on reconfigurable hardware" in
@@ -1530,10 +1596,8 @@ let main_cmd =
       serve_cmd;
       admit_cmd;
       chaos_admit_cmd;
-      bench_serve_cmd;
-      bench_admit_cmd;
-      bench_core_cmd;
       batch_cmd;
+      bench_cmd;
       metrics_diff_cmd;
     ]
 

@@ -1,7 +1,10 @@
-(* Ablation experiments for the design choices DESIGN.md calls out:
-   measured work-conserving alpha (Lemmas 1-2), the cost of restricted
-   migration (contiguous placement), partitioned vs global scheduling,
-   reconfiguration overhead, and the EDF-US hybrid of Section 7. *)
+(* [redf bench ablations]: fresh incomparability witnesses for
+   Tables 1-3, and the ablation experiments for the design choices
+   DESIGN.md calls out: measured work-conserving alpha (Lemmas 1-2),
+   the cost of restricted migration (contiguous placement),
+   partitioned vs global scheduling, reconfiguration overhead, the
+   EDF-US hybrid and 2-D placement of Section 7, and how optimistic
+   synchronous-release simulation is. *)
 
 module Time = Model.Time
 module Engine = Sim.Engine
@@ -11,12 +14,15 @@ let fpga_area = 100
 
 let profile = Model.Generator.unconstrained ~n:10
 
-let sim_accept ?placement ~policy ts =
+(* the section's flags: tasksets per point, simulation horizon, seed *)
+type knobs = { samples : int; horizon : Time.t; seed : int }
+
+let sim_accept k ?placement ~policy ts =
   let cfg = Engine.default_config ~fpga_area ~policy in
   let cfg =
     {
       cfg with
-      Engine.horizon = Bench_env.horizon;
+      Engine.horizon = k.horizon;
       placement = Option.value placement ~default:Engine.Migrating;
     }
   in
@@ -32,12 +38,46 @@ let tasksets_at rng target n =
   in
   go [] n
 
+(* --- Tables 1-3 are not cherry-picked --- *)
+
+(* rediscover fresh witnesses that exactly one of DP, GN1, GN2 accepts
+   at random, and quantify how often each subset of tests accepts *)
+let discovered k =
+  Env.heading "Discovered incomparability witnesses (extension)";
+  let fpga_area = 10 in
+  let tests = [ ("DP", Core.Dp.accepts); ("GN1", Core.Gn1.accepts); ("GN2", Core.Gn2.accepts) ] in
+  let profile =
+    {
+      (Model.Generator.unconstrained ~n:2) with
+      Model.Generator.fpga_area;
+      area_hi = fpga_area;
+      period_lo = 4.0;
+      period_hi = 10.0;
+    }
+  in
+  let rng = Rng.create ~seed:(k.seed + 101) in
+  List.iter
+    (fun (name, w) ->
+      match w with
+      | Some (witness : Experiment.Incomparability.witness) ->
+        Format.printf "unique to %-3s (after %5d draws): %a@." name witness.draws_used
+          Model.Taskset.pp witness.taskset
+      | None -> Format.printf "unique to %-3s: none found within the draw budget@." name)
+    (Experiment.Incomparability.find_all ~rng ~profile ~tests ());
+  Printf.printf "\njoint acceptance over 5000 random 2-task sets on A(H)=%d:\n" fpga_area;
+  List.iter
+    (fun (accepting, count) ->
+      Printf.printf "  %-16s %5d\n"
+        (match accepting with [] -> "(none)" | l -> String.concat "+" l)
+        count)
+    (Experiment.Incomparability.incidence ~rng ~profile ~tests ())
+
 (* --- measured alpha vs Lemmas 1 and 2 --- *)
 
-let measured_alpha () =
-  Bench_env.section "Lemmas 1-2: measured work-conserving alpha";
-  let rng = Rng.create ~seed:Bench_env.seed in
-  let samples = max 50 (Bench_env.samples / 4) in
+let measured_alpha k =
+  Env.heading "Lemmas 1-2: measured work-conserving alpha";
+  let rng = Rng.create ~seed:k.seed in
+  let samples = max 50 (k.samples / 4) in
   (* overloaded sets so the device is contended *)
   let sets = tasksets_at rng 120.0 samples in
   let measure policy =
@@ -57,42 +97,39 @@ let measured_alpha () =
           (min worst alpha, lemma_ok && flag, contended + 1))
       (1.0, true, 0) sets
   in
-  let report name policy bound_of =
+  (* both lemmas' bound at the largest possible task area (100): the
+     most pessimistic *)
+  let amax_bound = 1.0 -. (float_of_int (100 - 1) /. float_of_int fpga_area) in
+  let report name policy =
     let worst, lemma_ok, contended = measure policy in
-    let amax_bound =
-      (* bound for the largest possible task area (100): most pessimistic *)
-      bound_of 100
-    in
     Printf.printf
       "%-8s: %d contended runs, worst measured alpha %.3f, Lemma bound (Amax=100) %.3f, lemma flag %s\n"
       name contended worst amax_bound
       (if lemma_ok then "never violated" else "VIOLATED")
   in
-  report "EDF-FkF" Policy.edf_fkf (fun amax ->
-      1.0 -. (float_of_int (amax - 1) /. float_of_int fpga_area));
-  report "EDF-NF" Policy.edf_nf (fun amax ->
-      1.0 -. (float_of_int (amax - 1) /. float_of_int fpga_area));
+  report "EDF-FkF" Policy.edf_fkf;
+  report "EDF-NF" Policy.edf_nf;
   Printf.printf
     "(the per-job Lemma-2 bound uses each waiting job's own area; the engine checks it exactly)\n"
 
 (* --- restricted migration / contiguous placement --- *)
 
-let placement_modes () =
-  Bench_env.section "Ablation: unrestricted migration vs contiguous placement";
+let placement_modes k =
+  Env.heading "Ablation: unrestricted migration vs contiguous placement";
   Printf.printf
     "simulated acceptance under EDF-NF, by placement mode (samples=%d/point):\n\n"
-    (max 50 (Bench_env.samples / 3));
+    (max 50 (k.samples / 3));
   let targets = [ 40.0; 55.0; 70.0; 85.0 ] in
   Printf.printf "%8s %12s %12s %12s %12s\n" "US" "migrating" "first-fit" "best-fit" "worst-fit";
   List.iter
     (fun target ->
-      let rng = Rng.create ~seed:(Bench_env.seed + 7) in
-      let sets = tasksets_at rng target (max 50 (Bench_env.samples / 3)) in
+      let rng = Rng.create ~seed:(k.seed + 7) in
+      let sets = tasksets_at rng target (max 50 (k.samples / 3)) in
       let ratio placement =
         let n = List.length sets in
         if n = 0 then 0.0
         else
-          float_of_int (List.length (List.filter (sim_accept ?placement ~policy:Policy.edf_nf) sets))
+          float_of_int (List.length (List.filter (sim_accept k ?placement ~policy:Policy.edf_nf) sets))
           /. float_of_int n
       in
       Printf.printf "%8.1f %12.3f %12.3f %12.3f %12.3f\n" target (ratio None)
@@ -103,30 +140,30 @@ let placement_modes () =
 
 (* --- partitioned vs global --- *)
 
-let partitioned_vs_global () =
-  Bench_env.section "Ablation: partitioned (Danne RAW'06) vs global EDF-NF";
-  let samples = max 100 (Bench_env.samples / 2) in
+let partitioned_vs_global k =
+  Env.heading "Ablation: partitioned (Danne RAW'06) vs global EDF-NF";
+  let samples = max 100 (k.samples / 2) in
   Printf.printf "%8s %14s %18s %12s\n" "US" "partitioned" "composite-tests" "SIM-NF";
   List.iter
     (fun target ->
-      let rng = Rng.create ~seed:(Bench_env.seed + 13) in
+      let rng = Rng.create ~seed:(k.seed + 13) in
       let sets = tasksets_at rng target samples in
       let n = float_of_int (max 1 (List.length sets)) in
       let count f = float_of_int (List.length (List.filter f sets)) /. n in
       Printf.printf "%8.1f %14.3f %18.3f %12.3f\n" target
         (count (fun ts -> Core.Partitioned.accepts ~fpga_area ts))
         (count (Core.Composite.edf_nf_any ~fpga_area))
-        (count (fun ts -> sim_accept ~policy:Policy.edf_nf ts)))
+        (count (fun ts -> sim_accept k ~policy:Policy.edf_nf ts)))
     [ 20.0; 30.0; 40.0; 55.0; 70.0 ]
 
 (* --- reconfiguration overhead --- *)
 
-let overhead_sweep () =
-  Bench_env.section "Ablation: reconfiguration overhead folded into C (Section 1)";
+let overhead_sweep k =
+  Env.heading "Ablation: reconfiguration overhead folded into C (Section 1)";
   Printf.printf
     "acceptance of the combined analytic test after inflating every C by the\nworst-case reconfiguration delay (per-column model), US target 30:\n\n";
-  let samples = max 100 (Bench_env.samples / 2) in
-  let rng = Rng.create ~seed:(Bench_env.seed + 23) in
+  let samples = max 100 (k.samples / 2) in
+  let rng = Rng.create ~seed:(k.seed + 23) in
   let sets = tasksets_at rng 30.0 samples in
   let n = float_of_int (max 1 (List.length sets)) in
   Printf.printf "%22s %12s\n" "overhead (ms/column)" "acceptance";
@@ -148,13 +185,13 @@ let overhead_sweep () =
 
 (* --- EDF-US hybrid --- *)
 
-let edf_us () =
-  Bench_env.section "Ablation: EDF-US hybrid (Section 7 future work)";
+let edf_us k =
+  Env.heading "Ablation: EDF-US hybrid (Section 7 future work)";
   Printf.printf
     "simulated acceptance on temporally-heavy tasksets (figure 4(b) profile):\nEDF-US gives top priority to tasks above the utilization threshold.\n\n";
   let p = Model.Generator.spatially_light_temporally_heavy ~n:10 in
-  let samples = max 100 (Bench_env.samples / 2) in
-  let rng = Rng.create ~seed:(Bench_env.seed + 31) in
+  let samples = max 100 (k.samples / 2) in
+  let rng = Rng.create ~seed:(k.seed + 31) in
   let sets = List.init samples (fun _ -> Model.Generator.draw rng p) in
   let policies =
     [
@@ -170,20 +207,20 @@ let edf_us () =
   List.iter
     (fun (name, policy) ->
       Printf.printf "%24s: %.3f\n" name
-        (float_of_int (List.length (List.filter (fun ts -> sim_accept ~policy ts) sets)) /. n))
+        (float_of_int (List.length (List.filter (fun ts -> sim_accept k ~policy ts) sets)) /. n))
     policies
 
 (* --- 2-D reconfiguration (Section 7) --- *)
 
-let two_dimensional () =
-  Bench_env.section "Ablation: 1-D column model vs 2-D rectangles (Section 7)";
+let two_dimensional k =
+  Env.heading "Ablation: 1-D column model vs 2-D rectangles (Section 7)";
   Printf.printf
     "The same workloads simulated three ways on a 100-cell device:\n\
      (a) 1-D migrating (the paper's model), (b) 1-D embedded on a 10x10 grid\n\
      (full-height rectangles = contiguous columns), (c) 2-D square-ish\n\
      rectangles of the same cell count.  EDF-NF, horizon 200 units.\n\n";
-  let rng = Rng.create ~seed:(Bench_env.seed + 53) in
-  let samples = max 60 (Bench_env.samples / 5) in
+  let rng = Rng.create ~seed:(k.seed + 53) in
+  let samples = max 60 (k.samples / 5) in
   let profile = { (Model.Generator.unconstrained ~n:8) with Model.Generator.fpga_area = 100 } in
   Printf.printf "%8s %12s %14s %12s %16s\n" "US" "1-D migr" "grid embedded" "2-D squares" "frag rejections";
   List.iter
@@ -234,7 +271,7 @@ let two_dimensional () =
           List.fold_left
             (fun (ok, fr) ts ->
               let r = Sim2d.Engine2d.run grid_cfg (squares ts) in
-              ( (if r.Sim2d.Engine2d.outcome = Sim2d.Engine2d.No_miss then ok + 1 else ok),
+              ( (match r.Sim2d.Engine2d.outcome with Sim2d.Engine2d.No_miss -> ok + 1 | _ -> ok),
                 fr + r.Sim2d.Engine2d.stats.Sim2d.Engine2d.fragmentation_rejections ))
             (0, 0) sets
         in
@@ -248,12 +285,22 @@ let two_dimensional () =
 
 (* --- how optimistic is the synchronous-release simulation? --- *)
 
-let sync_vs_exhaustive () =
-  Bench_env.section "Ablation: synchronous simulation vs exhaustive offsets (Section 6 caveat)";
+(* a concrete witness (found by randomized search, kept as a regression
+   test): sync-schedulable, missed under offsets (0, 2, 0.5) *)
+let sync_witness () =
+  Model.Taskset.of_list
+    [
+      Model.Task.of_decimal ~name:"t0" ~exec:"3" ~deadline:"3" ~period:"3" ~area:6 ();
+      Model.Task.of_decimal ~name:"t1" ~exec:"1" ~deadline:"3" ~period:"3" ~area:4 ();
+      Model.Task.of_decimal ~name:"t2" ~exec:"1" ~deadline:"2" ~period:"2" ~area:4 ();
+    ]
+
+let sync_vs_exhaustive k =
+  Env.heading "Ablation: synchronous simulation vs exhaustive offsets (Section 6 caveat)";
   Printf.printf
     "The paper uses synchronous-release simulation as a coarse upper bound\nbecause there is no critical instant.  On tiny tasksets we can exhaust\nall release offsets on a grid and count how often the synchronous\npattern is misleadingly optimistic.\n\n";
-  let rng = Rng.create ~seed:(Bench_env.seed + 41) in
-  let trials = max 100 (Bench_env.samples / 2) in
+  let rng = Rng.create ~seed:(k.seed + 41) in
+  let trials = max 100 (k.samples / 2) in
   let sync_ok = ref 0 and refuted = ref 0 and inconclusive = ref 0 in
   for _ = 1 to trials do
     let tasks =
@@ -288,30 +335,22 @@ let sync_vs_exhaustive () =
     !sync_ok !refuted
     (if !sync_ok = 0 then 0.0 else 100.0 *. float_of_int !refuted /. float_of_int !sync_ok)
     !inconclusive;
-  (* a concrete witness (found by randomized search, kept as a regression
-     test): sync-schedulable, missed under offsets (0, 2, 0.5) *)
-  let witness =
-    Model.Taskset.of_list
-      [
-        Model.Task.of_decimal ~name:"t0" ~exec:"3" ~deadline:"3" ~period:"3" ~area:6 ();
-        Model.Task.of_decimal ~name:"t1" ~exec:"1" ~deadline:"3" ~period:"3" ~area:4 ();
-        Model.Task.of_decimal ~name:"t2" ~exec:"1" ~deadline:"2" ~period:"2" ~area:4 ();
-      ]
-  in
   (match
      Sim.Exhaustive.sync_is_not_worst_case ~grid:(Time.of_ticks 500) ~fpga_area:10
-       ~policy:Policy.edf_nf witness
+       ~policy:Policy.edf_nf (sync_witness ())
    with
    | Some true ->
      Printf.printf
       "known witness confirmed: {(3,3,3,6),(1,3,3,4),(1,2,2,4)} on A(H)=10 is\nsync-schedulable but misses with offsets (0, 2, 0.5)\n"
    | _ -> Printf.printf "known witness NOT confirmed (unexpected)\n")
 
-let run () =
-  measured_alpha ();
-  placement_modes ();
-  partitioned_vs_global ();
-  overhead_sweep ();
-  edf_us ();
-  two_dimensional ();
-  sync_vs_exhaustive ()
+let run ~samples ~horizon ~seed =
+  let k = { samples; horizon = Time.of_units horizon; seed } in
+  discovered k;
+  measured_alpha k;
+  placement_modes k;
+  partitioned_vs_global k;
+  overhead_sweep k;
+  edf_us k;
+  two_dimensional k;
+  sync_vs_exhaustive k

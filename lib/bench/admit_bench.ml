@@ -1,9 +1,8 @@
-(* Measurement core of [redf bench-admit]: the admission daemon's
+(* [redf bench admit]: the admission daemon's
    mutation path (parse + incremental verdict + journal append +
    fsync), the warm what-if path, the from-scratch analyzer baseline it
    is measured against, and recovery time as a function of journal
-   length.  Writes the "admit" section of results/BENCH_serve.json
-   (see Bench_serve.write_section). *)
+   length.  Writes the "admit" section of the results file. *)
 
 module Json = Core.Json
 
@@ -60,7 +59,7 @@ let what_if_line =
 let expect_ok what reply =
   match Json.of_string reply with
   | Ok json when Json.member "kind" json = Some (Json.String "admit") -> ()
-  | _ -> failwith (Printf.sprintf "bench-admit: %s failed: %s" what reply)
+  | _ -> failwith (Printf.sprintf "bench admit: %s failed: %s" what reply)
 
 let time_us f =
   let t0 = Unix.gettimeofday () in
@@ -103,22 +102,22 @@ let recovery_ms ~analyzer ~fpga_area records =
           { Admit.State.seq = i; rid = None; op; reply = "{\"bench\":true}" }
       with
       | Ok () -> ()
-      | Error msg -> failwith ("bench-admit: journal build: " ^ msg)
+      | Error msg -> failwith ("bench admit: journal build: " ^ msg)
     done;
     Admit.Store.close store);
   let t0 = Unix.gettimeofday () in
   match Admit.Daemon.create ~snapshot_every:(records + 1) ~analyzer ~fpga_area ~dir () with
-  | Error msg -> failwith ("bench-admit: recovery: " ^ msg)
+  | Error msg -> failwith ("bench admit: recovery: " ^ msg)
   | Ok (d, recovery) ->
     let ms = (Unix.gettimeofday () -. t0) *. 1e3 in
     Admit.Daemon.close d;
     if recovery.Admit.Store.replayed <> records then
       failwith
-        (Printf.sprintf "bench-admit: recovery replayed %d of %d records"
+        (Printf.sprintf "bench admit: recovery replayed %d of %d records"
            recovery.Admit.Store.replayed records);
     ms
 
-let percentile = Bench_serve.percentile
+let percentile = Serve_bench.percentile
 
 let run ~mutations ~resident ~analyzer_name ~fpga_area ~out =
   match Core.Analyzer.of_name analyzer_name with
@@ -189,6 +188,9 @@ let run ~mutations ~resident ~analyzer_name ~fpga_area ~out =
           (percentile scratch_us 50.0) (percentile scratch_us 99.0)
           rec_1e3 rec_1e5
       in
-      Bench_serve.write_section ~out ~section:"admit" json;
       print_endline json;
-      0)
+      match Env.write_section ~out ~section:"admit" [ json ] with
+      | Error msg ->
+        prerr_endline ("error: " ^ msg);
+        2
+      | Ok () -> 0)

@@ -1,189 +1,128 @@
-(* Shared I/O layer of the benchmark harness: the results directory,
-   the sectioned BENCH_serve.json writer (one JSON line per bench
-   section), and the schema-versioned BENCH_core.json row format.
+(* The one reader/writer of the benchmark results: the results
+   directory, and the tagged JSON-lines file every bench section writes
+   its rows to.
 
    This module deliberately lives outside the determinism scope of
    check-src (wall clocks and the filesystem are its whole job); the
    analyzers it measures stay inside. *)
 
 let results_dir = "results"
+let default_out = Filename.concat results_dir "BENCH.jsonl"
 
-let ensure_results_dir () =
-  if not (Sys.file_exists results_dir) then Sys.mkdir results_dir 0o755
+let rec ensure_dir dir =
+  if not (Sys.file_exists dir) then begin
+    ensure_dir (Filename.dirname dir);
+    Sys.mkdir dir 0o755
+  end
 
-let write_file path contents =
-  ensure_results_dir ();
-  let oc = open_out (Filename.concat results_dir path) in
-  output_string oc contents;
-  close_out oc
+let ensure_parent_dir path = ensure_dir (Filename.dirname path)
 
-let ensure_parent_dir path =
-  let dir = Filename.dirname path in
-  if dir <> "" && dir <> "." && not (Sys.file_exists dir) then Sys.mkdir dir 0o755
+let write_file name contents =
+  let path = Filename.concat results_dir name in
+  ensure_parent_dir path;
+  Out_channel.with_open_bin path (fun oc -> output_string oc contents)
+
+let heading title = Printf.printf "\n%s\n%s\n" title (String.make (String.length title) '=')
 
 let find_sub haystack needle =
   let h = String.length haystack and n = String.length needle in
   let rec go i =
     if i + n > h then None else if String.sub haystack i n = needle then Some i else go (i + 1)
   in
-  if n = 0 then Some 0 else go 0
+  go 0
 
-(* --- sectioned JSON-lines files (BENCH_serve.json) --- *)
+(* Field extraction by substring scan rather than a JSON parser:
+   Core.Json refuses floats by design, and every row is one flat
+   object, so textual slicing is exact. *)
+let string_field line name =
+  let marker = Printf.sprintf "\"%s\":\"" name in
+  match find_sub line marker with
+  | None -> None
+  | Some i -> (
+    let start = i + String.length marker in
+    match String.index_from_opt line start '"' with
+    | None -> None
+    | Some stop -> Some (String.sub line start (stop - start)))
 
-(* Every section line labels itself with a "bench":"<section>" field;
-   the tag is read back generically, so new bench commands get their
-   own section without touching this list.  A legacy single-line file
-   without a tag is adopted as the "serve" section (the only producer
-   that predates tagging). *)
-let section_tag line =
-  if String.length (String.trim line) = 0 then None
-  else
-    let marker = {|"bench":"|} in
-    match find_sub line marker with
-    | None -> Some "serve"
-    | Some i -> (
-      let start = i + String.length marker in
-      match String.index_from_opt line start '"' with
-      | None -> Some "serve"
-      | Some stop -> Some (String.sub line start (stop - start)))
+let raw_field line name =
+  let marker = Printf.sprintf "\"%s\":" name in
+  match find_sub line marker with
+  | None -> None
+  | Some i ->
+    let start = i + String.length marker in
+    let stop = ref start in
+    while !stop < String.length line && line.[!stop] <> ',' && line.[!stop] <> '}' do incr stop done;
+    Some (String.trim (String.sub line start (!stop - start)))
 
-(* Sections can't nest under one JSON object: bench lines carry floats,
-   which exact-arithmetic Core.Json refuses to represent, so the file
-   is spliced textually — each writer replaces its own line and leaves
-   the others byte-for-byte alone (modulo the stable sort by tag). *)
-let write_section ~out ~section json_line =
-  ensure_parent_dir out;
-  let existing =
-    if not (Sys.file_exists out) then []
-    else
-      In_channel.with_open_bin out In_channel.input_all
-      |> String.split_on_char '\n'
-      |> List.filter_map (fun line ->
-             match section_tag line with Some t -> Some (t, line) | None -> None)
-  in
-  let sections = (section, json_line) :: List.remove_assoc section existing in
-  let sections = List.sort (fun (a, _) (b, _) -> String.compare a b) sections in
-  let oc = open_out out in
-  List.iter (fun (_, line) -> output_string oc (line ^ "\n")) sections;
-  close_out oc
+(* --- tagged JSON lines --- *)
 
-(* --- BENCH_core.json rows --- *)
+let section_tag line = string_field line "bench"
+
+let read path =
+  match In_channel.with_open_bin path In_channel.input_all with
+  | exception Sys_error _ when not (Sys.file_exists path) -> Ok []
+  | exception Sys_error msg -> Error msg
+  | contents ->
+    let rec go acc lineno = function
+      | [] -> Ok (List.rev acc)
+      | line :: rest when String.trim line = "" -> go acc (lineno + 1) rest
+      | line :: rest -> (
+        match section_tag line with
+        | Some tag -> go ((tag, line) :: acc) (lineno + 1) rest
+        | None -> Error (Printf.sprintf "%s:%d: line has no \"bench\" tag" path lineno))
+    in
+    go [] 1 (String.split_on_char '\n' contents)
+
+let write_section ~out ~section lines =
+  Result.bind (read out) (fun existing ->
+      let others = List.filter (fun (tag, _) -> tag <> section) existing in
+      let rows =
+        List.stable_sort
+          (fun (a, _) (b, _) -> String.compare a b)
+          (others @ List.map (fun line -> (section, line)) lines)
+      in
+      try
+        ensure_parent_dir out;
+        Out_channel.with_open_bin out (fun oc ->
+            List.iter (fun (_, line) -> output_string oc (line ^ "\n")) rows);
+        Ok ()
+      with Sys_error msg -> Error msg)
+
+(* --- core rows --- *)
 
 type core_row = {
   analyzer : string;
   n : int;
-  mode : string;  (* "single" | "batch" *)
+  mode : string;  (* "single" | "batch" | "repeat" *)
   us_per_decide : float;
   truncated : bool;  (* measured under an expired --budget-ms, or skipped *)
 }
 
-(* v1 rows had only analyzer/n/us_per_decide; v2 adds mode and the
-   truncation flag.  The parser accepts both, defaulting mode to
-   "single" and truncated to false, so a committed v1 baseline keeps
-   working as a --compare target. *)
-let core_schema_version = 2
-
 let core_row_to_json r =
-  Printf.sprintf "{\"analyzer\":%S,\"n\":%d,\"mode\":%S,\"us_per_decide\":%.2f,\"truncated\":%b}"
+  Printf.sprintf
+    "{\"bench\":\"core\",\"analyzer\":%S,\"n\":%d,\"mode\":%S,\"us_per_decide\":%.2f,\"truncated\":%b}"
     r.analyzer r.n r.mode r.us_per_decide r.truncated
 
-let core_doc rows =
-  Printf.sprintf
-    "{\"kind\":\"bench-core\",\"results\":[%s],\"schema_version\":%d,\"unit\":\"us/decide\"}\n"
-    (String.concat "," (List.map core_row_to_json rows))
-    core_schema_version
-
-(* Field extraction by substring scan rather than a JSON parser:
-   Core.Json refuses floats by design, and the row grammar is flat
-   (no nested objects or arrays), so textual slicing is exact. *)
-let string_field obj name =
-  match find_sub obj (Printf.sprintf "\"%s\":\"" name) with
-  | None -> None
-  | Some i -> (
-    let start = i + String.length name + 4 in
-    match String.index_from_opt obj start '"' with
-    | None -> None
-    | Some stop -> Some (String.sub obj start (stop - start)))
-
-let raw_field obj name =
-  match find_sub obj (Printf.sprintf "\"%s\":" name) with
-  | None -> None
-  | Some i ->
-    let start = i + String.length name + 3 in
-    let stop = ref start in
-    while !stop < String.length obj && obj.[!stop] <> ',' && obj.[!stop] <> '}' do incr stop done;
-    Some (String.trim (String.sub obj start (!stop - start)))
-
-let parse_core_row obj =
-  match (string_field obj "analyzer", raw_field obj "n", raw_field obj "us_per_decide") with
-  | Some analyzer, Some n_raw, Some us_raw -> (
-    match (int_of_string_opt n_raw, float_of_string_opt us_raw) with
-    | Some n, Some us ->
-      let mode = Option.value (string_field obj "mode") ~default:"single" in
-      let truncated = raw_field obj "truncated" = Some "true" in
-      Some { analyzer; n; mode; us_per_decide = us; truncated }
-    | _ -> None)
+let core_row_of_json line =
+  match
+    ( string_field line "analyzer",
+      Option.bind (raw_field line "n") int_of_string_opt,
+      string_field line "mode",
+      Option.bind (raw_field line "us_per_decide") float_of_string_opt,
+      Option.bind (raw_field line "truncated") bool_of_string_opt )
+  with
+  | Some analyzer, Some n, Some mode, Some us_per_decide, Some truncated ->
+    Some { analyzer; n; mode; us_per_decide; truncated }
   | _ -> None
 
-(* The array is split by a string-aware scan, not by the first ']':
-   analyzer names like "approx[1/10]" put brackets inside strings. *)
-let parse_core contents =
-  match find_sub contents "\"results\":[" with
-  | None -> Error "not a bench-core document (no \"results\" array)"
-  | Some i ->
-    let len = String.length contents in
-    let pos = ref (i + String.length "\"results\":[") in
-    let depth = ref 0 and in_string = ref false and escaped = ref false in
-    let buf = Buffer.create 64 in
-    let objs = ref [] in
-    let closed = ref false and err = ref None in
-    while (not !closed) && !err = None && !pos < len do
-      let c = contents.[!pos] in
-      if !in_string then begin
-        if !depth > 0 then Buffer.add_char buf c;
-        if !escaped then escaped := false
-        else if c = '\\' then escaped := true
-        else if c = '"' then in_string := false
-      end
-      else begin
-        match c with
-        | '"' ->
-          in_string := true;
-          if !depth > 0 then Buffer.add_char buf c
-        | '{' ->
-          incr depth;
-          Buffer.add_char buf c
-        | '}' ->
-          if !depth <= 0 then err := Some "mismatched '}' in \"results\" array"
-          else begin
-            Buffer.add_char buf c;
-            decr depth;
-            if !depth = 0 then begin
-              objs := Buffer.contents buf :: !objs;
-              Buffer.clear buf
-            end
-          end
-        | ']' when !depth = 0 -> closed := true
-        | c -> if !depth > 0 then Buffer.add_char buf c
-      end;
-      incr pos
-    done;
-    (match !err with
-    | Some e -> Error e
-    | None ->
-      if not !closed then Error "unterminated \"results\" array"
-      else
-        let objs = List.rev !objs in
-        let rows = List.filter_map parse_core_row objs in
-        if List.length rows = List.length objs then Ok rows
-        else Error "malformed row in \"results\" array")
-
-(* --- wall-clock budgets (--budget-ms) --- *)
-
-type budget = { deadline : float option }
-
-let budget_of_ms ms =
-  { deadline = Option.map (fun ms -> Unix.gettimeofday () +. (float_of_int ms /. 1000.0)) ms }
-
-let within b =
-  match b.deadline with None -> true | Some d -> Unix.gettimeofday () < d
+let read_core path =
+  Result.bind (read path) (fun lines ->
+      let rec go acc = function
+        | [] -> Ok (List.rev acc)
+        | ("core", line) :: rest -> (
+          match core_row_of_json line with
+          | Some row -> go (row :: acc) rest
+          | None -> Error (Printf.sprintf "%s: malformed core row: %s" path line))
+        | _ :: rest -> go acc rest
+      in
+      go [] lines)

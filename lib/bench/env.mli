@@ -1,53 +1,53 @@
-(** Shared I/O layer of the benchmark harness.
+(** The one reader/writer of the benchmark results.
 
-    One home for the pieces every bench emitter used to duplicate: the
-    [results/] directory convention, the sectioned JSON-lines writer
-    behind [BENCH_serve.json], and the schema-versioned row format of
-    [BENCH_core.json].  [redf bench-serve], [redf bench-admit],
-    [redf bench-core] and the offline [bench/] harness are all clients.
+    Every [redf bench <section>] writes its rows to one JSON-lines file
+    (default [results/BENCH.jsonl]): one line per row, each tagged with
+    the section that owns it by a ["bench":"<section>"] field.  A
+    section rewrites its own lines and leaves every other section's
+    lines byte-for-byte alone.
 
     This library is excluded from check-src's determinism scope — wall
-    clocks, environment and the filesystem are its whole job.  Nothing
-    here may leak into analyzer decide paths. *)
+    clocks and the filesystem are its whole job.  Nothing here may leak
+    into analyzer decide paths. *)
 
 val results_dir : string
 (** ["results"] — where the committed benchmark artifacts live. *)
 
-val ensure_results_dir : unit -> unit
+val default_out : string
+(** ["results/BENCH.jsonl"]. *)
 
 val write_file : string -> string -> unit
-(** [write_file name contents] writes [results_dir/name] (creating the
-    directory first). *)
+(** [write_file name contents] writes [results_dir/name]. *)
 
-val ensure_parent_dir : string -> unit
-(** Create the parent directory of an output path if missing. *)
+val heading : string -> unit
+(** Print a section title, underlined, after a blank line. *)
 
-(** {2 Sectioned JSON-lines files}
+(** {2 Tagged JSON lines}
 
-    [BENCH_serve.json] holds one JSON line per bench section, each
-    self-labelled by a ["bench":"<section>"] field, so independent
-    bench commands rewrite their own line without clobbering each
-    other.  Sections cannot nest under one object: bench lines carry
-    floats, which exact-arithmetic {!Core.Json} refuses to represent,
-    so the file is spliced textually. *)
+    Sections cannot nest under one JSON object: rows carry floats,
+    which exact-arithmetic {!Core.Json} refuses to represent, so the
+    file is spliced textually. *)
 
-val section_tag : string -> string option
-(** The section a stored line belongs to: the value of its
-    ["bench":"..."] field; [None] for blank lines; a non-blank line
-    without a tag is adopted as ["serve"] (the only legacy producer
-    that predates tagging). *)
+val read : string -> ((string * string) list, string) result
+(** The non-blank lines of a results file, each paired with its
+    section tag, in file order.  A missing file is empty; a line
+    without a tag is an error. *)
 
-val write_section : out:string -> section:string -> string -> unit
-(** [write_section ~out ~section line] replaces [section]'s line in
-    [out] (keeping every other section's line byte-for-byte) and
-    rewrites the file with sections sorted by tag. *)
+val write_section : out:string -> section:string -> string list -> (unit, string) result
+(** [write_section ~out ~section lines] replaces every line of
+    [section] in [out] by [lines], keeps every other line
+    byte-for-byte, and rewrites the file with lines stably sorted by
+    tag, creating missing directories.  Fails, writing nothing, if
+    [out] does not {!read}. *)
 
-(** {2 BENCH_core.json rows (schema v2)} *)
+(** {2 Core rows} *)
 
 type core_row = {
-  analyzer : string;
-  n : int;  (** taskset size *)
-  mode : string;  (** ["single"] ({!Core.Analyzer.t.decide} per taskset) or ["batch"] ([decide_all]) *)
+  analyzer : string;  (** what was timed: an analyzer name, or a substrate row like ["sim/EDF-NF/migrating"] *)
+  n : int;  (** taskset size (or operand size / inner repeat count, see {!Core_bench}) *)
+  mode : string;
+      (** ["single"] ({!Core.Analyzer.t.decide} per taskset), ["batch"]
+          ([decide_all]) or ["repeat"] ([n] calls per timed iteration) *)
   us_per_decide : float;
   truncated : bool;
       (** the row's measurement was cut short (or skipped entirely,
@@ -55,26 +55,8 @@ type core_row = {
           ignores truncated rows on either side *)
 }
 
-val core_schema_version : int
-(** [2].  v1 rows lacked [mode]/[truncated]; {!parse_core} accepts both,
-    defaulting [mode] to ["single"] and [truncated] to [false], so a
-    committed v1 baseline keeps working as a [--compare] target. *)
-
 val core_row_to_json : core_row -> string
+(** One ["bench":"core"] line. *)
 
-val core_doc : core_row list -> string
-(** The full [BENCH_core.json] document (trailing newline included). *)
-
-val parse_core : string -> (core_row list, string) result
-(** Parse a v1 or v2 document.  Textual field extraction, not
-    {!Core.Json} (which refuses floats by design) — exact because the
-    row grammar is flat. *)
-
-(** {2 Wall-clock budgets ([--budget-ms])} *)
-
-type budget
-
-val budget_of_ms : int option -> budget
-(** [None] — no deadline, {!within} is always true. *)
-
-val within : budget -> bool
+val read_core : string -> (core_row list, string) result
+(** The ["core"] rows of a results file, in file order. *)

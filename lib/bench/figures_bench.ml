@@ -1,6 +1,8 @@
-(* Figures 3(a), 3(b), 4(a), 4(b): acceptance ratio vs total system
-   utilization, plus the paper's qualitative claims checked against the
-   regenerated data. *)
+(* [redf bench figures]: Figures 3(a), 3(b), 4(a), 4(b) — acceptance
+   ratio vs total system utilization, written as results/figX.csv by
+   the same sweep [redf sweep] runs — plus the paper's qualitative
+   claims checked against the regenerated data, and the acceptance vs
+   task count extension. *)
 
 let area_under t mi =
   (* mean acceptance over the populated points: a crude scalar for "who
@@ -41,11 +43,11 @@ let check_claims figure t =
 
 (* extension: the 4-task vs 10-task contrast of Figures 3(a)/3(b) as a
    single curve — acceptance vs task count at fixed system utilization *)
-let n_sweep () =
-  Bench_env.section "Extension: acceptance vs task count at fixed US";
+let n_sweep ~samples ~horizon ~seed ~jobs =
+  Env.heading "Extension: acceptance vs task count at fixed US";
   let target_us = 25.0 in
   Printf.printf "US = %.0f, A(H) = 100, unconstrained profile, %d sets per point\n\n" target_us
-    Bench_env.samples;
+    samples;
   Printf.printf "%6s %6s %9s %9s %9s %9s\n" "N" "sets" "DP" "GN1" "GN2" "SIM-NF";
   List.iter
     (fun n ->
@@ -53,24 +55,16 @@ let n_sweep () =
       let cfg =
         {
           (Experiment.Sweep.default_config ~profile) with
-          Experiment.Sweep.samples = Bench_env.samples;
+          Experiment.Sweep.samples;
           targets = [ target_us ];
-          seed = Bench_env.seed + n;
-          sim_horizon = Bench_env.horizon;
+          seed = seed + n;
+          sim_horizon = Model.Time.of_units horizon;
         }
       in
-      let t = Experiment.Sweep.run ~jobs:Bench_env.jobs cfg in
+      let t = Experiment.Sweep.run ~jobs cfg in
       match t.Experiment.Sweep.points with
       | [ p ] ->
-        let idx name =
-          let rec go i = function
-            | [] -> -1
-            | m :: _ when m = name -> i
-            | _ :: rest -> go (i + 1) rest
-          in
-          go 0 t.Experiment.Sweep.method_names
-        in
-        let acc name = Experiment.Sweep.acceptance t ~method_index:(idx name) p in
+        let acc name = Experiment.Sweep.acceptance t ~method_index:(index_of t name) p in
         Printf.printf "%6d %6d %9.3f %9.3f %9.3f %9.3f\n" n p.Experiment.Sweep.generated
           (acc "DP") (acc "GN1") (acc "GN2") (acc "SIM-NF")
       | _ -> ())
@@ -78,29 +72,20 @@ let n_sweep () =
   Printf.printf
     "\n(the paper's observation: GN1's advantage at small N flips to DP's at large N)\n"
 
-let run () =
-  Bench_env.section "Figures 3-4: acceptance ratio vs total system utilization";
-  Printf.printf
-    "samples/point = %d (REDF_SAMPLES), sim horizon = %d units (REDF_HORIZON), seed = %d, jobs = %d (REDF_JOBS)\n"
-    Bench_env.samples Bench_env.horizon_units Bench_env.seed Bench_env.jobs;
+(* [sweep] is [redf sweep]'s own figure sweep, progress output included *)
+let run ~samples ~horizon ~seed ~jobs ~sweep =
+  Env.heading "Figures 3-4: acceptance ratio vs total system utilization";
+  Printf.printf "samples/point = %d, sim horizon = %d units, seed = %d, jobs = %d\n" samples
+    horizon seed jobs;
   List.iter
     (fun figure ->
-      let cfg =
-        Experiment.Figures.config ~samples:Bench_env.samples ~seed:Bench_env.seed
-          ~sim_horizon:Bench_env.horizon figure
-      in
       let t0 = Unix.gettimeofday () in
-      let progress = Bench_env.progress_printer (Experiment.Figures.id figure) in
-      let result = Experiment.Sweep.run ~progress ~jobs:Bench_env.jobs cfg in
-      Bench_env.clear_progress ();
-      Printf.printf "\n%s  (%.1f s)\n\n" (Experiment.Figures.caption figure)
+      let result = sweep figure in
+      Printf.printf "\n%s  (%.1f s)\n" (Experiment.Figures.caption figure)
         (Unix.gettimeofday () -. t0);
-      print_string (Experiment.Sweep.to_table result);
-      print_newline ();
-      print_string (Experiment.Sweep.to_ascii_plot result);
       check_claims figure result;
-      Bench_env.write_file (Experiment.Figures.id figure ^ ".csv") (Experiment.Sweep.to_csv result);
-      Printf.printf "  (series written to %s/%s.csv)\n" Bench_env.results_dir
-        (Experiment.Figures.id figure))
+      let csv = Experiment.Figures.id figure ^ ".csv" in
+      Env.write_file csv (Experiment.Sweep.to_csv result);
+      Printf.printf "  (series written to %s)\n" (Filename.concat Env.results_dir csv))
     Experiment.Figures.all;
-  n_sweep ()
+  n_sweep ~samples ~horizon ~seed ~jobs

@@ -1,11 +1,8 @@
-(* Measurement core of [redf bench-serve]: K concurrent client domains
-   against an in-process Server.Loop daemon, each pipelining M
-   synchronous requests, with client-side latency measurement (the Obs
+(* [redf bench serve]: K concurrent client domains against an
+   in-process Server.Loop daemon, each issuing M synchronous requests, with client-side latency measurement (the Obs
    timers aggregate count/sum/min/max only — percentiles need the raw
    samples) and a determinism check that every client's response stream
    is byte-identical to a serial [-j 1] in-process evaluation. *)
-
-module Json = Core.Json
 
 let fpga_area = 100
 
@@ -21,27 +18,8 @@ let workload ~clients ~requests =
   Array.init clients (fun c ->
       Array.init requests (fun i ->
           Server.Protocol.request_line ~analyzer:"GN2" ~fpga_area
-            ~id:(Json.String (Printf.sprintf "c%d-r%d" c i))
+            ~id:(Core.Json.String (Printf.sprintf "c%d-r%d" c i))
             tasksets.(i mod distinct)))
-
-let recv_line fd buf chunk =
-  let rec go () =
-    match String.index_opt (Buffer.contents buf) '\n' with
-    | Some i ->
-      let s = Buffer.contents buf in
-      let line = String.sub s 0 i in
-      Buffer.clear buf;
-      Buffer.add_substring buf s (i + 1) (String.length s - i - 1);
-      line
-    | None -> (
-      match Unix.read fd chunk 0 (Bytes.length chunk) with
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
-      | 0 -> failwith "bench-serve: server closed the connection mid-request"
-      | n ->
-        Buffer.add_subbytes buf chunk 0 n;
-        go ())
-  in
-  go ()
 
 (* one client: synchronous request/response over its own connection,
    wall-clock latency per request measured around the full roundtrip *)
@@ -52,23 +30,19 @@ let client ~addr ~tcp lines =
   Fun.protect
     ~finally:(fun () -> try Unix.close sock with Unix.Unix_error _ -> ())
     (fun () ->
-      let buf = Buffer.create 4096 in
-      let chunk = Bytes.create 65536 in
+      let ic = Unix.in_channel_of_descr sock and oc = Unix.out_channel_of_descr sock in
       let latencies = Array.make (Array.length lines) 0.0 in
       let responses =
         Array.mapi
           (fun i line ->
             let t0 = Unix.gettimeofday () in
-            let payload = line ^ "\n" in
-            let off = ref 0 in
-            while !off < String.length payload do
-              match Unix.write_substring sock payload !off (String.length payload - !off) with
-              | n -> off := !off + n
-              | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-            done;
-            let response = recv_line sock buf chunk in
-            latencies.(i) <- (Unix.gettimeofday () -. t0) *. 1e6;
-            response)
+            output_string oc (line ^ "\n");
+            flush oc;
+            match input_line ic with
+            | exception End_of_file -> failwith "bench serve: server closed the connection mid-request"
+            | response ->
+              latencies.(i) <- (Unix.gettimeofday () -. t0) *. 1e6;
+              response)
           lines
       in
       (latencies, responses))
@@ -80,10 +54,6 @@ let percentile sorted p =
     let rank = int_of_float (Float.ceil (p /. 100.0 *. float_of_int n)) - 1 in
     sorted.(max 0 (min (n - 1) rank))
   end
-
-(* the sectioned results file lives in Bench.Env now; the alias keeps
-   this module the local name bench-admit writes through *)
-let write_section = Bench.Env.write_section
 
 let run ~clients ~requests ~cache_size ~shards ~jobs ~tcp ~check ~out =
   Obs.set_enabled true;
@@ -120,7 +90,7 @@ let run ~clients ~requests ~cache_size ~shards ~jobs ~tcp ~check ~out =
   let determinism =
     if not check then "skipped"
     else begin
-      (* the contract bench-serve exists to demonstrate: concurrent
+      (* the contract this section exists to demonstrate: concurrent
          serving returns, per client, the bytes a serial in-process
          evaluation returns *)
       Server.Engine.with_engine ~cache_size ~shards:1 ~jobs:1 @@ fun reference ->
@@ -148,6 +118,9 @@ let run ~clients ~requests ~cache_size ~shards ~jobs ~tcp ~check ~out =
       (percentile all 100.0)
       served_requests served_connections served_shed determinism
   in
-  write_section ~out ~section:"serve" json;
   print_endline json;
-  if determinism = "FAIL" then 1 else 0
+  match Env.write_section ~out ~section:"serve" [ json ] with
+  | Error msg ->
+    prerr_endline ("error: " ^ msg);
+    2
+  | Ok () -> if determinism = "FAIL" then 1 else 0

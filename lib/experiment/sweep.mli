@@ -44,8 +44,8 @@ val default_targets : float list
 val default_config : profile:Model.Generator.profile -> config
 (** [standard_methods], [default_targets], 300 samples, seed 42,
     horizon 1000 time units.  The paper uses >= 10000 samples; see
-    EXPERIMENTS.md for the runtime trade-off and the env knobs the bench
-    harness exposes. *)
+    EXPERIMENTS.md for the runtime trade-off and the flags
+    [redf bench figures] exposes. *)
 
 type point = {
   target_us : float;

@@ -18,7 +18,7 @@
     Determinism contract: per connection, the response stream is
     byte-identical to one in-process {!Engine.handle_lines} batch of
     the same request lines — batching across connections changes
-    wall-clock only, never bytes.  ([redf bench-serve] checks exactly
+    wall-clock only, never bytes.  ([redf bench serve] checks exactly
     this.)
 
     Backpressure and load shedding:
